@@ -85,9 +85,6 @@ class GroupElement:
         return f"GroupElement({self.w:.6g}, {self.x:.6g}, {self.y:.6g}, {self.z:.6g})"
 
 
-IDENTITY = GroupElement(1.0, 0.0, 0.0, 0.0)
-
-
 def identity() -> GroupElement:
     return GroupElement(1.0, 0.0, 0.0, 0.0)
 
@@ -221,16 +218,6 @@ def haar_sample(rng: np.random.Generator) -> GroupElement:
 def haar_tuple(rng: np.random.Generator, n: int) -> GroupTuple:
     """An n-tuple of independent Haar samples."""
     return GroupTuple(haar_sample(rng) for _ in range(n))
-
-
-def haar_traces(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Traces of ``count`` independent Haar samples, drawn in one batch.
-
-    Consumes the stream differently from repeated ``haar_sample`` calls, but
-    is itself deterministic per seed; intended for distribution tests.
-    """
-    q = rng.normal(size=(count, 4))
-    return 2.0 * q[:, 0] / np.linalg.norm(q, axis=1)
 
 
 def semicircle_cdf(t):

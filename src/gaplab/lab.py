@@ -31,8 +31,18 @@ experiment kind, i), so rows are independent tasks and results are identical
 for any execution order or worker count.  Record files are JSON lines: line 1
 the config, one line per row, and a final summary line; floats are written
 with 17 significant digits so parsed values round-trip exactly.  A run
-interrupted after r rows can be resumed against the partial file and yields
-the same rows as an uninterrupted run.
+interrupted after r rows, even one killed mid-line, can be resumed against
+the partial file and yields the same rows as an uninterrupted run.
+
+Execution
+---------
+
+Every kind maps one row function over its row indices (the orbit maps one
+spectrum per state).  With ``threads > 1`` the calls run on a thread pool
+that keeps at most 2 * threads of them in flight and hands results back in
+index order.  There are no error rows: a numerical failure propagates out of
+the run, which leaves every row written before it as a resumable partial
+record.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -51,11 +62,10 @@ from scipy import stats
 
 from . import __version__ as ARTIFACT_VERSION
 from .charvar import commutator_trace, sample_level_set_counted, trace_coords
-from .group import GroupElement, GroupTuple, haar_tuple, trace, tuple_digest
+from .group import GroupElement, GroupTuple, haar_tuple, tuple_digest
 from .nielsen import apply_move, random_walk, word_length_bound
 from .spectral import (
     DEFAULT_THRESHOLD,
-    EigensolverError,
     averaging_operator,
     lambda1_estimate,
     lambda_max,
@@ -93,6 +103,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("threshold", "target", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.n < 2:
@@ -209,13 +222,7 @@ def _spectral_fields(t: GroupTuple, config: ExperimentConfig) -> dict:
 def _scan_row(config: ExperimentConfig, i: int) -> dict:
     rng = np.random.default_rng(derive_seed(config.seed, config.kind, i))
     t = haar_tuple(rng, config.n)
-    row = {"index": i, "digest": tuple_digest(t)}
-    try:
-        row.update(_spectral_fields(t, config))
-    except EigensolverError as e:
-        row["error"] = str(e)
-        row["error_level"] = e.level_k
-        return row
+    row = {"index": i, "digest": tuple_digest(t), **_spectral_fields(t, config)}
     if config.n == 2:
         row["commutator_trace"] = commutator_trace(t)
     return row
@@ -233,26 +240,20 @@ def _orbit_states(config: ExperimentConfig, start: GroupTuple | None):
     return walk, states
 
 
-def _orbit_row(config: ExperimentConfig, i: int, walk, states, gaps) -> dict:
-    m = walk.moves[i]
-    t_after = states[i + 1]
+def _orbit_row(config: ExperimentConfig, i: int, move, t_after: GroupTuple,
+               before: dict, after: dict) -> dict:
+    L = word_length_bound(move, config.n)
     row = {
         "index": i,
-        "move": str(m),
-        "L": word_length_bound(m, config.n),
+        "move": str(move),
+        "L": L,
         "digest": tuple_digest(t_after),
+        "gap_proxy_before": before["gap_proxy"],
+        **after,
     }
-    before, after = gaps[i], gaps[i + 1]
-    if isinstance(before, EigensolverError) or isinstance(after, EigensolverError):
-        err = after if isinstance(after, EigensolverError) else before
-        row["error"] = str(err)
-        row["error_level"] = err.level_k
-        return row
-    row["gap_proxy_before"] = before["gap_proxy"]
-    row.update(after)
     row["stability_ok"] = bool(
-        row["gap_proxy"]
-        >= row["gap_proxy_before"] / (config.n * row["L"] ** 2) - _STABILITY_SLACK
+        after["gap_proxy"]
+        >= before["gap_proxy"] / (config.n * L ** 2) - _STABILITY_SLACK
     )
     if config.n == 2:
         row["commutator_trace"] = commutator_trace(t_after)
@@ -264,20 +265,15 @@ def _fiber_row(config: ExperimentConfig, i: int) -> dict:
     t, tries = sample_level_set_counted(
         config.target, config.tol, rng, config.max_tries
     )
-    row = {
+    return {
         "index": i,
         "phase": "fiber",
         "tries": tries,
         "x": trace_coords(t).x,
         "commutator_trace": commutator_trace(t),
         "digest": tuple_digest(t),
+        **_spectral_fields(t, config),
     }
-    try:
-        row.update(_spectral_fields(t, config))
-    except EigensolverError as e:
-        row["error"] = str(e)
-        row["error_level"] = e.level_k
-    return row
 
 
 def _fiber_walk_rows(config: ExperimentConfig) -> list[dict]:
@@ -299,11 +295,7 @@ def _fiber_walk_rows(config: ExperimentConfig) -> list[dict]:
 
 def _lps_row(config: ExperimentConfig, i: int, preset: GroupTuple) -> dict:
     k = i + 1
-    try:
-        lam = lambda_max(averaging_operator(preset, k))
-    except EigensolverError as e:
-        return {"index": i, "k": k, "error": str(e), "error_level": k}
-    return {"index": i, "k": k, "lambda_max": lam}
+    return {"index": i, "k": k, "lambda_max": lambda_max(averaging_operator(preset, k))}
 
 
 def row_count(config: ExperimentConfig) -> int:
@@ -408,79 +400,60 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
 # The driver
 
 
+def _ordered_map(fn, items, threads: int):
+    """``map(fn, items)``; with threads > 1, on a pool that keeps at most
+    2 * threads calls in flight and still yields results in item order."""
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        pending: deque = deque()
+        for item in items:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(ex.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+
 def _compute_rows(config: ExperimentConfig, start: int, threads: int,
                   orbit_start: GroupTuple | None):
     """Yield rows with index >= start, in index order."""
     total = row_count(config)
     if config.kind == "zero_one_scan":
-        row_fn = lambda i: _scan_row(config, i)
+        yield from _ordered_map(lambda i: _scan_row(config, i),
+                                range(start, total), threads)
     elif config.kind == "lps_benchmark":
         preset = lps_preset()
-        row_fn = lambda i: _lps_row(config, i, preset)
+        yield from _ordered_map(lambda i: _lps_row(config, i, preset),
+                                range(start, total), threads)
     elif config.kind == "orbit_invariance":
         walk, states = _orbit_states(config, orbit_start)
-
-        def state_gap(t):
-            try:
-                report = lambda1_estimate(t, config.cutoff_J)
-            except EigensolverError as e:
-                return e
-            return {
-                "per_level": [lam for _, lam in report.per_level],
-                "lambda1_J": report.lambda1_J,
-                "gap_proxy": report.gap_proxy,
-                "pgap": pgap_from_report(report, config.threshold),
-            }
-
-        # only states from the resume point need spectra
-        needed = states[start:]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                computed = list(ex.map(state_gap, needed))
-        else:
-            computed = [state_gap(t) for t in needed]
-        gaps = {start + j: v for j, v in enumerate(computed)}
-        for i in range(start, total):
-            yield _orbit_row(config, i, walk, states, gaps)
-        return
+        # one spectrum per state from the resume point; row i pairs the
+        # spectra of states i and i + 1
+        spectra = _ordered_map(lambda t: _spectral_fields(t, config),
+                               states[start:], threads)
+        before = next(spectra)
+        for i, after in zip(range(start, total), spectra):
+            yield _orbit_row(config, i, walk.moves[i], states[i + 1], before, after)
+            before = after
     else:  # level_set_walk
-        fiber_total = config.samples
-
-        def row_fn(i):
-            return _fiber_row(config, i)
-
-        indices = [i for i in range(start, min(fiber_total, total))]
-        if threads > 1 and indices:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                futures = [ex.submit(row_fn, i) for i in indices]
-                for f in futures:
-                    yield f.result()
-        else:
-            for i in indices:
-                yield row_fn(i)
-        if total > fiber_total:
-            walk_rows = _fiber_walk_rows(config)
-            for r in walk_rows:
-                if r["index"] >= start:
-                    yield r
-        return
-
-    indices = list(range(start, total))
-    if threads > 1 and indices:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [ex.submit(row_fn, i) for i in indices]
-            for f in futures:
-                yield f.result()
-    else:
-        for i in indices:
-            yield row_fn(i)
+        yield from _ordered_map(lambda i: _fiber_row(config, i),
+                                range(start, config.samples), threads)
+        yield from _fiber_walk_rows(config)[max(0, start - config.samples):]
 
 
 def _read_partial(path: Path, config: ExperimentConfig):
-    """Validate a partial record file and return its parsed rows."""
-    lines = path.read_text().splitlines()
+    """Validate a partial record file and return its parsed rows.
+
+    A torn last line, as a kill mid-write leaves it, is cut off.  Returns
+    None when not even the config line is complete: the record starts afresh.
+    """
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    lines = data[:end].decode().splitlines()
     if not lines:
-        return []
+        return None
     file_config = json.loads(lines[0])
     if file_config != json.loads(json_line(config.to_dict())):
         raise ValueError(f"config in {path} does not match the requested run")
@@ -493,6 +466,8 @@ def _read_partial(path: Path, config: ExperimentConfig):
     for i, r in enumerate(rows):
         if r.get("index") != i:
             raise ValueError(f"{path} has a gap at row {i}; cannot resume")
+    if end < len(data):
+        os.truncate(path, end)
     return rows
 
 
@@ -515,8 +490,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
     rows: list = []
     if out_dir is not None:
         path = Path(out_dir) / record_filename(config)
-        if resume and path.exists():
-            rows = _read_partial(path, config)
+        partial = _read_partial(path, config) if resume and path.exists() else None
+        if partial is not None:
+            rows = partial
             handle = open(path, "a")
         else:
             handle = open(path, "w")

@@ -210,8 +210,3 @@ def random_walk(rng: np.random.Generator, n: int, length: int) -> MoveSequence:
     alphabet = move_alphabet(n)
     picks = rng.integers(0, len(alphabet), size=length)
     return MoveSequence(tuple(alphabet[i] for i in picks))
-
-
-def word_substitution(word: Word, images: list[Word]) -> Word:
-    """Apply a basis substitution to an arbitrary reduced word."""
-    return Word(_expand(word.letters, [w.letters for w in images]))

@@ -315,10 +315,7 @@ def pgap_indicator(t: GroupTuple, cutoff_J: int, threshold: float) -> int:
     all levels is not computable at finite J, so outputs are evidence about
     the gapped/ungapped alternative, never a verdict.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    report = lambda1_estimate(t, cutoff_J)
-    return int(report.gap_proxy > threshold)
+    return pgap_from_report(lambda1_estimate(t, cutoff_J), threshold)
 
 
 def pgap_from_report(report: SpectralReport, threshold: float) -> int:

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaplab import cli, lab
 from gaplab.group import GroupTuple, haar_sample, identity, tuple_digest
 from gaplab.group import conjugate_tuple, haar_tuple
 from gaplab.lab import (
@@ -17,12 +19,24 @@ from gaplab.lab import (
     recompute_summary,
     run_experiment,
 )
+from gaplab.spectral import EigensolverError
 
 
 def scan_config(**kw):
     base = dict(kind="zero_one_scan", n=2, seed=7, cutoff_J=6, samples=10)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+LEVEL_SET = dict(kind="level_set_walk", n=2, seed=21, cutoff_J=3, samples=4,
+                 walk_length=5, target=0.0, tol=0.05, threshold=0.1)
+
+RESUMABLE = {
+    "zero_one_scan": scan_config(samples=8),
+    "orbit_invariance": ExperimentConfig(kind="orbit_invariance", n=3, seed=2,
+                                         cutoff_J=4, walk_length=8),
+    "level_set_walk": ExperimentConfig(**LEVEL_SET),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +58,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="orbit_invariance", n=2, seed=0, walk_length=5,
                          threshold=0.0)
+    for field, value in [("threshold", math.nan), ("threshold", math.inf),
+                         ("tol", math.inf), ("tol", math.nan),
+                         ("target", math.nan), ("target", -math.inf)]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ExperimentConfig(**{**LEVEL_SET, field: value})
 
 
 def test_json_line_float_format_round_trips():
@@ -120,21 +139,61 @@ def test_summary_recomputable_from_rows():
     assert recompute_summary(cfg, rec.rows) == rec.summary
 
 
-def test_resume_matches_uninterrupted(tmp_path):
-    cfg = scan_config(samples=8)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", sorted(RESUMABLE))
+def test_resume_matches_uninterrupted(tmp_path, kind, threads):
+    cfg = RESUMABLE[kind]
     full_dir = tmp_path / "full"
     part_dir = tmp_path / "part"
     full_dir.mkdir()
     part_dir.mkdir()
     full = run_experiment(cfg, out_dir=full_dir)
-    partial = run_experiment(cfg, out_dir=part_dir, stop_after_rows=3)
+    partial = run_experiment(cfg, out_dir=part_dir, threads=threads,
+                             stop_after_rows=3)
     assert partial.summary is None and len(partial.rows) == 3
-    resumed = run_experiment(cfg, out_dir=part_dir, resume=True)
+    resumed = run_experiment(cfg, out_dir=part_dir, threads=threads,
+                             resume=True)
     assert resumed.rows == full.rows
     assert resumed.summary == full.summary
     full_lines = (full_dir / record_filename(cfg)).read_text().splitlines()
     part_lines = (part_dir / record_filename(cfg)).read_text().splitlines()
     assert full_lines[:-1] == part_lines[:-1]  # all but the wall-clock line
+
+
+def test_resume_after_a_cut_at_every_byte(tmp_path):
+    # a kill can leave the record cut at any byte, the summary line included
+    cfg = scan_config(samples=3, cutoff_J=2)
+    full = run_experiment(cfg, out_dir=tmp_path)
+    data = Path(full.path).read_bytes()
+    expected = data.splitlines()[:-1]  # all but the wall-clock line
+    for cut in range(len(data)):
+        Path(full.path).write_bytes(data[:cut])
+        resumed = run_experiment(cfg, out_dir=tmp_path, resume=True)
+        assert resumed.rows == full.rows and resumed.summary == full.summary
+        assert Path(full.path).read_bytes().splitlines()[:-1] == expected, cut
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solver_failure_exits_3_and_leaves_a_resumable_record(
+        tmp_path, monkeypatch, threads):
+    cfg = scan_config(samples=6)
+    full = run_experiment(cfg)
+    argv = ["scan", "--n", "2", "--cutoff", "6", "--samples", "6", "--seed",
+            "7", "--threads", str(threads), "--out-dir", str(tmp_path)]
+    real = lab.lambda1_estimate
+
+    def fail_on_row_3(t, cutoff_J):
+        if tuple_digest(t) == full.rows[3]["digest"]:
+            raise EigensolverError("no convergence", level_k=cutoff_J)
+        return real(t, cutoff_J)
+
+    monkeypatch.setattr(lab, "lambda1_estimate", fail_on_row_3)
+    assert cli.main(argv) == 3
+    lines = (tmp_path / record_filename(cfg)).read_text().splitlines()
+    assert [json.loads(line) for line in lines[1:]] == full.rows[:3]
+    monkeypatch.setattr(lab, "lambda1_estimate", real)
+    assert cli.main(argv + ["--resume"]) == 0
+    assert load_record(tmp_path / record_filename(cfg)).rows == full.rows
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
