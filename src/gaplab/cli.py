@@ -33,8 +33,10 @@ from .charvar import LevelSetSamplingError
 from .group import GroupElement, GroupTuple, haar_sample, haar_tuple
 from .lab import (
     ExperimentConfig,
+    NonFiniteError,
     json_line,
     lps_preset,
+    record_filename,
     run_experiment,
 )
 from .spectral import EigensolverError, lambda1_estimate, level_gap_bounds, \
@@ -168,9 +170,12 @@ def _run_and_report(config: ExperimentConfig, args) -> int:
         record = run_experiment(config, out_dir=args.out_dir,
                                 threads=args.threads, resume=args.resume)
     except OSError as e:
-        raise OSError(
-            f"{e}; the partial record file is intact, rerun with the same "
-            f"flags plus --resume to continue") from e
+        path = Path(args.out_dir) / record_filename(config)
+        if path.exists():
+            raise OSError(
+                f"{e}; the partial record {path} is intact, rerun with the "
+                f"same flags plus --resume to continue") from e
+        raise OSError(f"cannot write a record in {args.out_dir}: {e}") from e
     print(json_line({"summary": record.summary}))
     print(f"record: {record.path}", file=sys.stderr)
     return EXIT_OK
@@ -328,12 +333,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # LinAlgError and NonFiniteError subclass ValueError, so they go first
+    except (EigensolverError, LevelSetSamplingError, np.linalg.LinAlgError,
+            NonFiniteError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (EigensolverError, LevelSetSamplingError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
         return EXIT_IO

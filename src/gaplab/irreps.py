@@ -3,9 +3,65 @@
 Level k (k = 2*spin, dimension d = k+1) is realized on homogeneous
 polynomials of degree k in two complex variables: a group element with matrix
 [[a, b], [c, d]] acts by the substitution (u, v) -> (a u + c v, b u + d v),
-and the monomial basis scaled by sqrt(binom(k, m)) is orthonormal for the
-invariant inner product, so the action is unitary and level 1 reproduces the
-defining 2x2 matrix exactly.  One code path covers every k.
+and the monomials u^(k-m) v^m scaled by sqrt(binom(k, m)) form an orthonormal
+basis for the invariant inner product, so the action is unitary and level 1
+is the defining 2x2 matrix itself.
+
+Construction
+------------
+
+The matrix is built from Euler angles rather than by expanding the
+substitution.  With A = w + i z and B = x + i y read off the quaternion,
+
+    g = diag(e^{i alpha}, e^{-i alpha}) R(beta) diag(e^{i gamma}, e^{-i gamma}),
+    beta = atan2(|B|, |A|),  alpha + gamma = arg A,  alpha - gamma = arg B,
+
+where R(beta) is the real rotation [[cos, sin], [-sin, cos]].  The torus
+factors act diagonally, D_k(phi) = diag(e^{i (k-2m) phi}), so
+
+    pi_k(g) = D_k(alpha) r_k(beta) D_k(gamma).
+
+The generator of r_k is real antisymmetric and tridiagonal; conjugated by
+P = diag(i^m) it becomes i T with T real symmetric, off-diagonals
+(k-m) sqrt(binom(k, m) / binom(k, m+1)) = sqrt((m+1)(k-m)), and eigenvalues
+exactly the weights k - 2m.  With T = V diag(weights) V^T,
+
+    r_k(beta) = P (I + V diag(cos - 1) V^T + i V diag(sin) V^T) P^dagger,
+
+the trigonometric functions taken at beta * weight.  The exact integer
+weights are used, never the computed eigenvalues, so the only rounding that
+grows with k is V's, and the I + (...) form maps beta = 0 (the identity and
+every torus element) to an exactly diagonal matrix, the identity to exactly
+I.  This is the exact-diagonalization form of Wigner's d matrix (Feng, Wang,
+Yang and Jin, Phys. Rev. E 92, 2015).
+
+Cache
+-----
+
+V depends on k alone.  It is computed by one ``eigh`` per level on first use
+and kept, read-only, in a per-level cache; nothing is built at import.  The
+cache holds d^2 doubles per level used: about 0.6 MB once every level up to
+60 has been used, and about 22 MB at most, for every level up to MAX_LEVEL.
+
+Accuracy
+--------
+
+Worst entrywise errors over 20 Haar samples per level: the unitarity defect
+|pi^dagger pi - I|, the functoriality error |pi(gh) - pi(g) pi(h)|, the trace
+against the closed-form character (angles at least 1e-3 from 0 and pi) and
+the eigenvalues against the weights.
+
+    k     unitarity  functoriality  trace    eigenvalues
+    20    3e-15      5e-15          2e-14    9e-15
+    60    2e-15      9e-15          3e-14    2e-14
+    200   3e-15      3e-14          9e-14    8e-14
+
+The tests require at most 1e-12, 1e-11, 1e-11 and 1e-11 at k = 60 and at
+k = MAX_LEVEL.  MAX_LEVEL is the deepest level those checks cover, not a
+limit of the method.
+
+Closed forms
+------------
 
 Because every group element is conjugate into the torus, characters and
 eigenvalues have closed forms in the rotation angle alpha:
@@ -29,6 +85,7 @@ computed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,8 +93,10 @@ import numpy as np
 
 from .group import GroupElement, angle
 
-# Dense matrices only; the cutoff sweep is truncated far below this anyway.
-MAX_LEVEL = 60
+# The highest level whose accuracy the tests check (see Accuracy above).
+MAX_LEVEL = 200
+
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 @dataclass(frozen=True)
@@ -82,27 +141,45 @@ class RepMatrix:
         self.entries.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _rotation_basis(k: int) -> np.ndarray:
+    """The real orthogonal V with T = V diag(-k, -k+2, ..., k) V^T, where T
+    is the symmetric tridiagonal generator with off-diagonals
+    sqrt((m+1)(k-m)).  Read-only, because every caller shares it."""
+    m = np.arange(k, dtype=float)
+    off = np.sqrt((m + 1.0) * (k - m))
+    v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+    v.setflags(write=False)
+    return v
+
+
 def irrep_matrix(level, g: GroupElement) -> RepMatrix:
     """The matrix of g on degree-k polynomials, in the orthonormal monomial
     basis.  Functorial: irrep_matrix(k, g h) = irrep_matrix(k, g) @
-    irrep_matrix(k, h) up to roundoff, and level 1 equals g.matrix() exactly.
+    irrep_matrix(k, h) up to roundoff; level 1 is g.matrix() itself, and the
+    identity maps to exactly I at every level.
     """
     level = as_level(level)
     k = level.k
     if k == 0:
         return RepMatrix(level, np.ones((1, 1), dtype=np.complex128))
-    m2 = g.matrix()
-    a, b = complex(m2[0, 0]), complex(m2[0, 1])
-    c, d = complex(m2[1, 0]), complex(m2[1, 1])
-    sqb = np.sqrt(np.array([math.comb(k, m) for m in range(k + 1)], dtype=float))
-    ent = np.empty((k + 1, k + 1), dtype=np.complex128)
-    for m in range(k + 1):
-        va = np.array(
-            [math.comb(k - m, p) * a ** (k - m - p) * c ** p for p in range(k - m + 1)]
-        )
-        vb = np.array([math.comb(m, q) * b ** (m - q) * d ** q for q in range(m + 1)])
-        ent[:, m] = np.convolve(va, vb) * (sqb[m] / sqb)
-    return RepMatrix(level, ent)
+    if k == 1:
+        return RepMatrix(level, g.matrix())
+    # every angle below is a ratio of coordinates, so the quaternion's norm
+    # drops out
+    w, x, y, z = g.w, g.x, g.y, g.z
+    beta = math.atan2(math.hypot(x, y), math.hypot(w, z))
+    arg_a = math.atan2(z, w)
+    arg_b = math.atan2(y, x)
+    weights = np.arange(k, -k - 1, -2, dtype=float)  # k - 2m, m = 0..k
+    v = _rotation_basis(k)
+    # v's columns ascend in eigenvalue: -k, ..., k = weights[::-1]
+    rot = (v * (np.exp(1j * beta * weights[::-1]) - 1.0)) @ v.T
+    rot[np.diag_indices(k + 1)] += 1.0
+    i_pow = np.resize(_I_POWERS, k + 1)  # P = diag(i^m)
+    left = i_pow * np.exp(0.5j * (arg_a + arg_b) * weights)
+    right = i_pow.conj() * np.exp(0.5j * (arg_a - arg_b) * weights)
+    return RepMatrix(level, left[:, None] * rot * right)
 
 
 def character(level, g: GroupElement) -> float:

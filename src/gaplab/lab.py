@@ -151,6 +151,11 @@ class RunRecord:
 # Serialization: JSON with floats at 17 significant digits
 
 
+class NonFiniteError(ValueError):
+    """A NaN or infinity reached a record.  Config values are checked finite
+    on construction, so this always marks a numerical failure."""
+
+
 def json_line(obj) -> str:
     """Serialize to compact JSON; every float gets 17 significant digits."""
     return _fmt(obj)
@@ -164,7 +169,7 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         f = float(v)
         if not math.isfinite(f):
-            raise ValueError("records must not contain non-finite floats")
+            raise NonFiniteError("records must not contain non-finite floats")
         return format(f, ".17g")
     if isinstance(v, str):
         return json.dumps(v)

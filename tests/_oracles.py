@@ -6,6 +6,8 @@ is evidence rather than tautology.  The vectorized quaternion arithmetic is
 validated against the library in test_group before other tests lean on it.
 """
 
+import math
+
 import numpy as np
 
 
@@ -41,6 +43,28 @@ def commutator_traces(rng, count):
     a, b = haar_array(rng, count), haar_array(rng, count)
     comm = qmul(qmul(qmul(a, b), qconj(a)), qconj(b))
     return 2.0 * comm[..., 0]
+
+
+def symmetric_power_matrix(k, m2):
+    """The level-k image of the 2x2 matrix m2 = [[a, b], [c, d]] by expanding
+    the substitution (u, v) -> (a u + c v, b u + d v) on the monomials
+    u^(k-m) v^m scaled by sqrt(binom(k, m)).
+
+    It is the same matrix as the library's Euler-angle construction but
+    shares no code with it.  Its own error grows geometrically with k (about
+    1e-11 at k = 40), so it is an oracle at low levels only.
+    """
+    a, b = complex(m2[0, 0]), complex(m2[0, 1])
+    c, d = complex(m2[1, 0]), complex(m2[1, 1])
+    sqb = np.sqrt(np.array([math.comb(k, m) for m in range(k + 1)], dtype=float))
+    ent = np.empty((k + 1, k + 1), dtype=np.complex128)
+    for m in range(k + 1):
+        va = np.array(
+            [math.comb(k - m, p) * a ** (k - m - p) * c ** p for p in range(k - m + 1)]
+        )
+        vb = np.array([math.comb(m, q) * b ** (m - q) * d ** q for q in range(m + 1)])
+        ent[:, m] = np.convolve(va, vb) * (sqb[m] / sqb)
+    return ent
 
 
 def eig_multiset_distance(predicted, computed):

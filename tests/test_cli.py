@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
+from gaplab import lab, spectral
 from gaplab.lab import record_filename, ExperimentConfig
 from gaplab.spectral import EigensolverError
 
@@ -248,13 +249,51 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _raise_linalg_error(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("fake_lambda_max", [
+    _raise_linalg_error, lambda a: math.nan,
+], ids=["linalg_error", "non_finite_row"])
+def test_numerical_value_errors_exit_3(tmp_path, monkeypatch, capsys,
+                                       fake_lambda_max):
+    # both are ValueError subclasses, which would otherwise read as input errors
+    monkeypatch.setattr(spectral, "lambda_max", fake_lambda_max)
+    rc = cli.main(["scan", "--n", "2", "--cutoff", "2", "--samples", "2",
+                   "--seed", "1", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_io_failure_exits_4(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     r = run_cli("scan", "--n", "2", "--cutoff", "3", "--samples", "2",
                 "--seed", "1", "--out-dir", str(blocker / "sub"))
     assert r.returncode == 4
-    assert "--resume" in r.stderr
+    # no record was ever opened, so there is nothing to resume
+    assert "--resume" not in r.stderr
+    assert str(blocker / "sub") in r.stderr
+
+
+def test_io_failure_after_the_record_opens_hints_resume(tmp_path, monkeypatch,
+                                                        capsys):
+    argv = ["scan", "--n", "2", "--cutoff", "3", "--samples", "4", "--seed",
+            "1", "--out-dir", str(tmp_path)]
+    real = lab._compute_rows
+
+    def fail_after_two_rows(*args):
+        rows = real(*args)
+        yield next(rows)
+        yield next(rows)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(lab, "_compute_rows", fail_after_two_rows)
+    assert cli.main(argv) == 4
+    assert "--resume" in capsys.readouterr().err
+    monkeypatch.setattr(lab, "_compute_rows", real)
+    assert cli.main(argv + ["--resume"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gaplab.group import GroupElement, conjugate, haar_sample, identity, inv, mul
+from gaplab.group import (
+    GroupElement,
+    angle,
+    conjugate,
+    haar_sample,
+    identity,
+    inv,
+    mul,
+)
 from gaplab.irreps import (
     MAX_LEVEL,
     IrrepLevel,
@@ -12,7 +20,7 @@ from gaplab.irreps import (
     irrep_matrix,
 )
 
-from _oracles import eig_multiset_distance
+from _oracles import eig_multiset_distance, symmetric_power_matrix
 
 
 def test_level_fields():
@@ -39,6 +47,51 @@ def test_level_zero_is_trivial():
     assert np.array_equal(
         irrep_matrix(0, haar_sample(rng)).entries, np.ones((1, 1))
     )
+
+
+def test_agrees_with_symmetric_power_oracle():
+    rng = np.random.default_rng(12)
+    for k in [*range(21), 40]:
+        tol = 1e-12 if k <= 20 else 1e-9
+        for _ in range(10):
+            g = haar_sample(rng)
+            diff = irrep_matrix(k, g).entries - symmetric_power_matrix(k, g.matrix())
+            assert np.max(np.abs(diff)) <= tol, k
+
+
+def test_identity_is_exact_at_every_level():
+    for k in range(MAX_LEVEL + 1):
+        assert np.array_equal(irrep_matrix(k, identity()).entries, np.eye(k + 1))
+    # the coordinates -0.0 of the inverse turn arg B into -pi
+    assert np.array_equal(irrep_matrix(9, inv(identity())).entries, np.eye(10))
+
+
+def test_torus_elements_are_exactly_diagonal():
+    for t in (0.3, 2.0, -1.1, math.pi):
+        g = GroupElement(math.cos(t), 0.0, 0.0, math.sin(t))
+        for k in (2, 7, 60, MAX_LEVEL):
+            p = irrep_matrix(k, g).entries
+            assert np.array_equal(p, np.diag(np.diag(p)))
+            weights = np.arange(k, -k - 1, -2)
+            assert np.max(np.abs(np.diag(p) - np.exp(1j * t * weights))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [60, MAX_LEVEL])
+def test_accuracy_at_high_levels(k):
+    # the accuracy the irreps module documents for its deepest levels
+    rng = np.random.default_rng(13)
+    eye = np.eye(k + 1)
+    for _ in range(6):
+        g, h = haar_sample(rng), haar_sample(rng)
+        p = irrep_matrix(k, g).entries
+        assert np.max(np.abs(p.conj().T @ p - eye)) <= 1e-12
+        gh = irrep_matrix(k, mul(g, h)).entries
+        assert np.max(np.abs(gh - p @ irrep_matrix(k, h).entries)) <= 1e-11
+        a = angle(g)
+        if min(a, math.pi - a) >= 1e-3:  # the closed form is ill-conditioned at 0, pi
+            assert abs(np.trace(p) - character(k, g)) <= 1e-11
+        predicted = np.exp(1j * eigen_angles(k, g))
+        assert eig_multiset_distance(predicted, np.linalg.eigvals(p)) <= 1e-11
 
 
 def test_functoriality_k7():

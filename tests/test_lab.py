@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaplab import cli, lab
+from gaplab import cli, irreps, lab
 from gaplab.group import GroupTuple, haar_sample, identity, tuple_digest
 from gaplab.group import conjugate_tuple, haar_tuple
 from gaplab.lab import (
@@ -158,6 +159,39 @@ def test_resume_matches_uninterrupted(tmp_path, kind, threads):
     full_lines = (full_dir / record_filename(cfg)).read_text().splitlines()
     part_lines = (part_dir / record_filename(cfg)).read_text().splitlines()
     assert full_lines[:-1] == part_lines[:-1]  # all but the wall-clock line
+
+
+def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
+    # every run starts with an empty per-level cache, so pool workers fill
+    # the same level at once; a short switch interval makes them interleave
+    cfg = ExperimentConfig(kind="zero_one_scan", n=2, seed=11, cutoff_J=80,
+                           samples=6)
+    argv = ["scan", "--n", "2", "--cutoff", "80", "--samples", "6", "--seed",
+            "11"]
+
+    def scan(out_dir, threads, *extra):
+        irreps._rotation_basis.cache_clear()
+        assert cli.main(argv + ["--out-dir", str(out_dir), "--threads",
+                                threads, *extra]) == 0
+        lines = (out_dir / record_filename(cfg)).read_text().splitlines()
+        return capsys.readouterr().out, lines[:-1]  # all but the wall clock
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = {}
+        for threads in ("1", "2", "4"):
+            (tmp_path / threads).mkdir()
+            runs[threads] = scan(tmp_path / threads, threads)
+        part_dir = tmp_path / "resumed"
+        part_dir.mkdir()
+        irreps._rotation_basis.cache_clear()
+        run_experiment(cfg, out_dir=part_dir, threads=2, stop_after_rows=2)
+        resumed = scan(part_dir, "2", "--resume")
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs["2"] == runs["1"] and runs["4"] == runs["1"]
+    assert resumed == runs["1"]
 
 
 def test_resume_after_a_cut_at_every_byte(tmp_path):
