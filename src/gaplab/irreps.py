@@ -35,6 +35,23 @@ every torus element) to an exactly diagonal matrix, the identity to exactly
 I.  This is the exact-diagonalization form of Wigner's d matrix (Feng, Wang,
 Yang and Jin, Phys. Rev. E 92, 2015).
 
+Stacks
+------
+
+:func:`irrep_stack` builds pi_k for N elements at once, as one (N, d, d)
+array: the exponentials, the products with V and the torus factors are each
+one numpy operation over the whole stack.  The Euler angles depend on the
+element alone, so an :class:`EulerStack` computes them once per element and
+every level reuses them.  They are computed with ``math.atan2`` and
+``math.hypot``, one element at a time, never with ``np.arctan2`` or
+``np.hypot``: numpy's vectorized versions differ from the C library in the
+last bit for some inputs, which moves computed eigenvalues by up to about
+1e-14, and the matrices would then depend on which path built them.  Every
+other operation acts entry by entry or matrix by matrix, so a stack equals
+the per-element matrices bit for bit whatever its size.
+:func:`irrep_matrix` is the stack of one element for k >= 2; levels 0 and 1
+are its exact special cases, which :func:`irrep_stack` takes from it.
+
 Cache
 -----
 
@@ -153,6 +170,56 @@ def _rotation_basis(k: int) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class EulerStack:
+    """N group elements and their Euler angles beta, arg A and arg B (see
+    Construction), one entry per element; slicing keeps them in step."""
+
+    elements: tuple
+    beta: np.ndarray
+    arg_a: np.ndarray
+    arg_b: np.ndarray
+
+    @classmethod
+    def of(cls, elements) -> "EulerStack":
+        elements = tuple(elements)
+        # every angle is a ratio of coordinates, so the quaternion's norm
+        # drops out; math, not numpy, for the reason given under Stacks
+        angles = [(math.atan2(math.hypot(g.x, g.y), math.hypot(g.w, g.z)),
+                   math.atan2(g.z, g.w), math.atan2(g.y, g.x))
+                  for g in elements]
+        beta, arg_a, arg_b = np.array(angles, dtype=float).reshape(-1, 3).T
+        return cls(elements, beta, arg_a, arg_b)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, s: slice) -> "EulerStack":
+        return EulerStack(self.elements[s], self.beta[s], self.arg_a[s],
+                          self.arg_b[s])
+
+
+def irrep_stack(level, stack: EulerStack) -> np.ndarray:
+    """The matrices pi_k(g) for every g in ``stack``, shape (N, k+1, k+1);
+    entry i equals ``irrep_matrix(level, stack.elements[i]).entries`` bit for
+    bit."""
+    k = as_level(level).k
+    if k <= 1:
+        return np.stack([irrep_matrix(k, g).entries for g in stack.elements])
+    weights = np.arange(k, -k - 1, -2, dtype=float)  # k - 2m, m = 0..k
+    v = _rotation_basis(k)
+    # v's columns ascend in eigenvalue: -k, ..., k = weights[::-1]
+    phases = np.exp(1j * stack.beta[:, None] * weights[::-1]) - 1.0
+    rot = (v * phases[:, None, :]) @ v.T
+    diag = np.arange(k + 1)
+    rot[:, diag, diag] += 1.0
+    i_pow = np.resize(_I_POWERS, k + 1)  # P = diag(i^m)
+    arg_a, arg_b = stack.arg_a[:, None], stack.arg_b[:, None]
+    left = i_pow * np.exp(0.5j * (arg_a + arg_b) * weights)
+    right = i_pow.conj() * np.exp(0.5j * (arg_a - arg_b) * weights)
+    return left[:, :, None] * rot * right[:, None, :]
+
+
 def irrep_matrix(level, g: GroupElement) -> RepMatrix:
     """The matrix of g on degree-k polynomials, in the orthonormal monomial
     basis.  Functorial: irrep_matrix(k, g h) = irrep_matrix(k, g) @
@@ -160,26 +227,11 @@ def irrep_matrix(level, g: GroupElement) -> RepMatrix:
     identity maps to exactly I at every level.
     """
     level = as_level(level)
-    k = level.k
-    if k == 0:
+    if level.k == 0:
         return RepMatrix(level, np.ones((1, 1), dtype=np.complex128))
-    if k == 1:
+    if level.k == 1:
         return RepMatrix(level, g.matrix())
-    # every angle below is a ratio of coordinates, so the quaternion's norm
-    # drops out
-    w, x, y, z = g.w, g.x, g.y, g.z
-    beta = math.atan2(math.hypot(x, y), math.hypot(w, z))
-    arg_a = math.atan2(z, w)
-    arg_b = math.atan2(y, x)
-    weights = np.arange(k, -k - 1, -2, dtype=float)  # k - 2m, m = 0..k
-    v = _rotation_basis(k)
-    # v's columns ascend in eigenvalue: -k, ..., k = weights[::-1]
-    rot = (v * (np.exp(1j * beta * weights[::-1]) - 1.0)) @ v.T
-    rot[np.diag_indices(k + 1)] += 1.0
-    i_pow = np.resize(_I_POWERS, k + 1)  # P = diag(i^m)
-    left = i_pow * np.exp(0.5j * (arg_a + arg_b) * weights)
-    right = i_pow.conj() * np.exp(0.5j * (arg_a - arg_b) * weights)
-    return RepMatrix(level, left[:, None] * rot * right)
+    return RepMatrix(level, irrep_stack(level, EulerStack.of([g]))[0])
 
 
 def character(level, g: GroupElement) -> float:

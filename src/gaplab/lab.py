@@ -37,11 +37,18 @@ the partial file and yields the same rows as an uninterrupted run.
 Execution
 ---------
 
-Every kind maps one row function over its row indices (the orbit maps one
-spectrum per state).  With ``threads > 1`` the calls run on a thread pool
-that keeps at most 2 * threads of them in flight and hands results back in
-index order.  There are no error rows: a numerical failure propagates out of
-the run, which leaves every row written before it as a resumable partial
+Every kind maps one task over consecutive blocks of _BLOCK row indices.  A
+scan or orbit task computes the spectra of its whole block with one stacked
+sweep (:func:`~gaplab.spectral.lambda1_estimates`; an orbit block also
+sweeps the state before its first row), which gives each tuple exactly the
+spectrum it gets alone, so block boundaries never show in the rows.  Fiber
+and lps rows keep one call per row.  With ``threads > 1`` the
+blocks run on a thread pool that keeps at most 2 * threads of them in flight
+and hands rows back in index order.  Rows are still written, and a stop
+honoured, one row at a time: a stop after r rows leaves exactly r rows, and
+resuming starts the first block at row r.  There are no error rows: a
+numerical failure propagates out of the run and fails the block it occurred
+in, which leaves every row of the earlier blocks as a resumable partial
 record.
 """
 
@@ -63,11 +70,14 @@ from scipy import stats
 from . import __version__ as ARTIFACT_VERSION
 from .charvar import commutator_trace, sample_level_set_counted, trace_coords
 from .group import GroupElement, GroupTuple, haar_tuple, tuple_digest
+from .irreps import MAX_LEVEL
 from .nielsen import apply_move, random_walk, word_length_bound
 from .spectral import (
     DEFAULT_THRESHOLD,
+    SpectralReport,
     averaging_operator,
     lambda1_estimate,
+    lambda1_estimates,
     lambda_max,
     pgap_from_report,
 )
@@ -75,6 +85,12 @@ from .spectral import (
 KINDS = ("zero_one_scan", "orbit_invariance", "level_set_walk", "lps_benchmark")
 
 _STABILITY_SLACK = 1e-6
+
+# Rows per task.  A block's spectra are one stacked sweep, which costs its
+# arithmetic rather than its calls from a few dozen tuples on; blocks of 64
+# ran the 1500-step orbit as fast on two threads as on one (see
+# BENCH_batched_levels.json).
+_BLOCK = 64
 
 
 def lps_preset() -> GroupTuple:
@@ -110,8 +126,8 @@ class ExperimentConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.cutoff_J < 1:
-            raise ValueError("cutoff_J must be >= 1")
+        if not 1 <= self.cutoff_J <= MAX_LEVEL:
+            raise ValueError(f"cutoff_J must lie in [1, {MAX_LEVEL}]")
         if self.threshold <= 0.0:
             raise ValueError("threshold must be positive")
         if self.kind == "zero_one_scan" and self.samples < 1:
@@ -214,8 +230,7 @@ def derive_seed(root_seed: int, tag: str, index: int) -> int:
 # Row computation per experiment kind
 
 
-def _spectral_fields(t: GroupTuple, config: ExperimentConfig) -> dict:
-    report = lambda1_estimate(t, config.cutoff_J)
+def _spectral_fields(report: SpectralReport, config: ExperimentConfig) -> dict:
     return {
         "per_level": [lam for _, lam in report.per_level],
         "lambda1_J": report.lambda1_J,
@@ -224,13 +239,24 @@ def _spectral_fields(t: GroupTuple, config: ExperimentConfig) -> dict:
     }
 
 
-def _scan_row(config: ExperimentConfig, i: int) -> dict:
-    rng = np.random.default_rng(derive_seed(config.seed, config.kind, i))
-    t = haar_tuple(rng, config.n)
-    row = {"index": i, "digest": tuple_digest(t), **_spectral_fields(t, config)}
-    if config.n == 2:
-        row["commutator_trace"] = commutator_trace(t)
-    return row
+def _block_spectra(tuples: list, config: ExperimentConfig) -> list[dict]:
+    return [_spectral_fields(r, config)
+            for r in lambda1_estimates(tuples, config.cutoff_J)]
+
+
+def _scan_rows(config: ExperimentConfig, block: range) -> list[dict]:
+    tuples = [
+        haar_tuple(np.random.default_rng(derive_seed(config.seed, config.kind, i)),
+                   config.n)
+        for i in block
+    ]
+    rows = []
+    for i, t, spectral in zip(block, tuples, _block_spectra(tuples, config)):
+        row = {"index": i, "digest": tuple_digest(t), **spectral}
+        if config.n == 2:
+            row["commutator_trace"] = commutator_trace(t)
+        rows.append(row)
+    return rows
 
 
 def _orbit_states(config: ExperimentConfig, start: GroupTuple | None):
@@ -265,6 +291,15 @@ def _orbit_row(config: ExperimentConfig, i: int, move, t_after: GroupTuple,
     return row
 
 
+def _orbit_rows(config: ExperimentConfig, walk, states: list,
+                block: range) -> list[dict]:
+    # row i pairs the spectra of states i and i + 1, so adjacent blocks both
+    # compute the state they share
+    spectra = _block_spectra(states[block.start:block.stop + 1], config)
+    return [_orbit_row(config, i, walk.moves[i], states[i + 1], before, after)
+            for i, before, after in zip(block, spectra, spectra[1:])]
+
+
 def _fiber_row(config: ExperimentConfig, i: int) -> dict:
     rng = np.random.default_rng(derive_seed(config.seed, config.kind + ":fiber", i))
     t, tries = sample_level_set_counted(
@@ -277,7 +312,7 @@ def _fiber_row(config: ExperimentConfig, i: int) -> dict:
         "x": trace_coords(t).x,
         "commutator_trace": commutator_trace(t),
         "digest": tuple_digest(t),
-        **_spectral_fields(t, config),
+        **_spectral_fields(lambda1_estimate(t, config.cutoff_J), config),
     }
 
 
@@ -405,20 +440,23 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
 # The driver
 
 
-def _ordered_map(fn, items, threads: int):
-    """``map(fn, items)``; with threads > 1, on a pool that keeps at most
-    2 * threads calls in flight and still yields results in item order."""
+def _ordered_map(fn, start: int, stop: int, threads: int):
+    """The items of ``fn(block)`` for consecutive blocks of _BLOCK indices
+    from start to stop, in index order; with threads > 1 the blocks run on a
+    pool that keeps at most 2 * threads of them in flight."""
+    blocks = (range(i, min(i + _BLOCK, stop)) for i in range(start, stop, _BLOCK))
     if threads == 1:
-        yield from map(fn, items)
+        for block in blocks:
+            yield from fn(block)
         return
     with ThreadPoolExecutor(max_workers=threads) as ex:
         pending: deque = deque()
-        for item in items:
+        for block in blocks:
             if len(pending) == 2 * threads:
-                yield pending.popleft().result()
-            pending.append(ex.submit(fn, item))
+                yield from pending.popleft().result()
+            pending.append(ex.submit(fn, block))
         while pending:
-            yield pending.popleft().result()
+            yield from pending.popleft().result()
 
 
 def _compute_rows(config: ExperimentConfig, start: int, threads: int,
@@ -426,25 +464,19 @@ def _compute_rows(config: ExperimentConfig, start: int, threads: int,
     """Yield rows with index >= start, in index order."""
     total = row_count(config)
     if config.kind == "zero_one_scan":
-        yield from _ordered_map(lambda i: _scan_row(config, i),
-                                range(start, total), threads)
+        yield from _ordered_map(lambda b: _scan_rows(config, b), start, total,
+                                threads)
     elif config.kind == "lps_benchmark":
         preset = lps_preset()
-        yield from _ordered_map(lambda i: _lps_row(config, i, preset),
-                                range(start, total), threads)
+        yield from _ordered_map(lambda b: [_lps_row(config, i, preset) for i in b],
+                                start, total, threads)
     elif config.kind == "orbit_invariance":
         walk, states = _orbit_states(config, orbit_start)
-        # one spectrum per state from the resume point; row i pairs the
-        # spectra of states i and i + 1
-        spectra = _ordered_map(lambda t: _spectral_fields(t, config),
-                               states[start:], threads)
-        before = next(spectra)
-        for i, after in zip(range(start, total), spectra):
-            yield _orbit_row(config, i, walk.moves[i], states[i + 1], before, after)
-            before = after
+        yield from _ordered_map(lambda b: _orbit_rows(config, walk, states, b),
+                                start, total, threads)
     else:  # level_set_walk
-        yield from _ordered_map(lambda i: _fiber_row(config, i),
-                                range(start, config.samples), threads)
+        yield from _ordered_map(lambda b: [_fiber_row(config, i) for i in b],
+                                start, config.samples, threads)
         yield from _fiber_walk_rows(config)[max(0, start - config.samples):]
 
 

@@ -31,6 +31,19 @@ challenged by all generators at once.  Every even level contributes 0 there
 (each pi_k(t_i) has eigenvalue 1), so the value is 0 for any tuple once the
 cutoff reaches 2.  It is kept as a diagnostic of exactly that degeneracy;
 the min-max quantities above are the operative gap.
+
+Stacked sweeps
+--------------
+
+:func:`lambda1_estimates` sweeps many tuples of one rank at once, level by
+level: per level it builds one stack of irreps per generator position with
+:func:`~gaplab.irreps.irrep_stack`, sums them into a stack of averaging
+operators, and takes the top eigenvalues with one stacked ``eigvalsh``.  The
+stacks are cut into sub-stacks of at most _STACK_ENTRIES matrix entries, so
+memory does not grow with the number of tuples or with the level.  Every
+operation acts matrix by matrix, so each report is bit for bit the one the
+tuple gets alone; :func:`lambda1_estimate` and :func:`averaging_operator` are
+the stack of one tuple.
 """
 
 from __future__ import annotations
@@ -41,7 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupTuple
-from .irreps import IrrepLevel, as_level, eigen_angles, irrep_matrix
+from .irreps import (
+    MAX_LEVEL,
+    EulerStack,
+    IrrepLevel,
+    as_level,
+    eigen_angles,
+    irrep_matrix,
+    irrep_stack,
+)
 
 DEFAULT_CUTOFF = 40
 DEFAULT_THRESHOLD = 1e-3
@@ -50,6 +71,10 @@ DEFAULT_THRESHOLD = 1e-3
 DENSE_LIMIT = 512
 
 _EIG_TOL = 1e-10
+
+# Matrix entries per sub-stack of a stacked sweep (16 bytes each): 256 KB
+# per stacked array, whatever the level; see BENCH_batched_levels.json.
+_STACK_ENTRIES = 2 ** 14
 
 
 class EigensolverError(RuntimeError):
@@ -105,12 +130,19 @@ def averaging_operator(t: GroupTuple, level) -> AveragingOperator:
     level = as_level(level)
     if level.k < 1:
         raise ValueError("averaging operators live on levels k >= 1")
+    stacks = [EulerStack.of([g]) for g in t]
+    return AveragingOperator(level, _operator_stack(level, stacks)[0], len(t))
+
+
+def _operator_stack(level: IrrepLevel, stacks: list) -> np.ndarray:
+    """The averaging operators of N tuples at one level, shape (N, d, d);
+    ``stacks[i]`` holds the i-th generator of every tuple."""
     d = level.dim
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for g in t:
-        p = irrep_matrix(level, g).entries
-        acc += p + p.conj().T
-    return AveragingOperator(level, acc, len(t))
+    acc = np.zeros((len(stacks[0]), d, d), dtype=np.complex128)
+    for stack in stacks:
+        p = irrep_stack(level, stack)
+        acc += p + p.conj().transpose(0, 2, 1)
+    return acc
 
 
 def _lanczos_top(m: np.ndarray, tol: float, max_restarts: int, krylov_dim: int):
@@ -184,31 +216,52 @@ def lambda_max(a: AveragingOperator, method: str = "auto", tol: float = _EIG_TOL
     raise ValueError(f"unknown method {method!r}")
 
 
-def lambda1_estimate(t: GroupTuple, cutoff_J: int) -> SpectralReport:
-    """Sweep k = 1..cutoff_J and report lambda1_J = max_k lambda_max.
+def lambda1_estimates(tuples, cutoff_J: int) -> list[SpectralReport]:
+    """Sweep k = 1..cutoff_J for tuples of one rank and report, per tuple,
+    lambda1_J = max_k lambda_max.
 
-    The result is a lower bound for the supremum over all levels; eigensolver
-    failures propagate annotated with the offending k.
+    Each result is a lower bound for the supremum over all levels;
+    eigensolver failures propagate annotated with the offending k.
     """
     if cutoff_J < 1:
         raise ValueError("cutoff_J must be >= 1")
-    n = len(t)
-    per = []
+    if cutoff_J > MAX_LEVEL:
+        raise ValueError(f"cutoff_J={cutoff_J} exceeds the highest level "
+                         f"{MAX_LEVEL}")
+    if not tuples:
+        return []
+    n = len(tuples[0])
+    if any(len(t) != n for t in tuples):
+        raise ValueError("a stacked sweep needs tuples of one rank")
+    stacks = [EulerStack.of(t[i] for t in tuples) for i in range(n)]
+    per: list[list] = [[] for _ in tuples]
     for k in range(1, cutoff_J + 1):
-        try:
-            lam = lambda_max(averaging_operator(t, k))
-        except EigensolverError as e:
-            e.level_k = k
-            raise
-        per.append((k, lam))
-    lam1 = max(v for _, v in per)
-    return SpectralReport(
-        cutoff_J=cutoff_J,
-        per_level=tuple(per),
-        lambda1_J=lam1,
-        gap_proxy=2.0 * n - lam1,
-        n=n,
-    )
+        level = IrrepLevel(k)
+        step = max(1, _STACK_ENTRIES // level.dim ** 2)
+        for lo in range(0, len(tuples), step):
+            ops = _operator_stack(level, [s[lo:lo + step] for s in stacks])
+            if level.dim <= DENSE_LIMIT:
+                lams = np.linalg.eigvalsh(ops)[:, -1].tolist()
+            else:
+                try:
+                    lams = [lambda_max(AveragingOperator(level, m, n)) for m in ops]
+                except EigensolverError as e:
+                    e.level_k = k
+                    raise
+            for row, lam in zip(per[lo:lo + step], lams):
+                row.append((k, lam))
+    reports = []
+    for row in per:
+        lam1 = max(v for _, v in row)
+        reports.append(SpectralReport(cutoff_J=cutoff_J, per_level=tuple(row),
+                                      lambda1_J=lam1, gap_proxy=2.0 * n - lam1,
+                                      n=n))
+    return reports
+
+
+def lambda1_estimate(t: GroupTuple, cutoff_J: int) -> SpectralReport:
+    """:func:`lambda1_estimates` for one tuple."""
+    return lambda1_estimates([t], cutoff_J)[0]
 
 
 def per_gen_min_displacement(t: GroupTuple, level) -> list[float]:

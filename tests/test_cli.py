@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import gaplab.cli as cli
-from gaplab import lab, spectral
-from gaplab.lab import record_filename, ExperimentConfig
+from gaplab import lab
+from gaplab.group import tuple_digest
+from gaplab.irreps import MAX_LEVEL
+from gaplab.lab import record_filename, run_experiment, ExperimentConfig
 from gaplab.spectral import EigensolverError
 
 DATA = Path(__file__).parent / "data"
@@ -249,21 +252,60 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def _raise_linalg_error(a):
+def _raise_linalg_error(reports, i):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-@pytest.mark.parametrize("fake_lambda_max", [
-    _raise_linalg_error, lambda a: math.nan,
+def _non_finite_report(reports, i):
+    reports[i] = dataclasses.replace(reports[i], lambda1_J=math.nan,
+                                     gap_proxy=math.nan)
+    return reports
+
+
+# (corrupt, rows of the failing block written before the failure): an
+# exception fails its whole block, a non-finite value fails at its own row
+@pytest.mark.parametrize("corrupt, written", [
+    (_raise_linalg_error, 0), (_non_finite_report, 1),
 ], ids=["linalg_error", "non_finite_row"])
-def test_numerical_value_errors_exit_3(tmp_path, monkeypatch, capsys,
-                                       fake_lambda_max):
-    # both are ValueError subclasses, which would otherwise read as input errors
-    monkeypatch.setattr(spectral, "lambda_max", fake_lambda_max)
-    rc = cli.main(["scan", "--n", "2", "--cutoff", "2", "--samples", "2",
-                   "--seed", "1", "--out-dir", str(tmp_path)])
+def test_numerical_value_errors_exit_3(tmp_path, monkeypatch, capsys, corrupt,
+                                       written):
+    # both are ValueError subclasses, which would otherwise read as input
+    # errors; the failing row is the second of the second block
+    samples = lab._BLOCK + 2
+    cfg = ExperimentConfig(kind="zero_one_scan", n=2, seed=1, cutoff_J=2,
+                           samples=samples)
+    full = run_experiment(cfg)
+    failing = full.rows[lab._BLOCK + 1]["digest"]
+    real = lab.lambda1_estimates
+
+    def fake(tuples, cutoff_J):
+        reports = real(tuples, cutoff_J)
+        for i, t in enumerate(tuples):
+            if tuple_digest(t) == failing:
+                return corrupt(reports, i)
+        return reports
+
+    monkeypatch.setattr(lab, "lambda1_estimates", fake)
+    rc = cli.main(["scan", "--n", "2", "--cutoff", "2", "--samples",
+                   str(samples), "--seed", "1", "--out-dir", str(tmp_path)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    lines = (tmp_path / record_filename(cfg)).read_text().splitlines()
+    assert ([json.loads(line) for line in lines[1:]]
+            == full.rows[:lab._BLOCK + written])
+
+
+def test_cutoff_above_the_highest_level_exits_2_before_any_work(tmp_path,
+                                                               capsys):
+    cutoff = str(MAX_LEVEL + 1)
+    rc = cli.main(["scan", "--n", "2", "--cutoff", cutoff, "--samples", "3",
+                   "--seed", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "cutoff_J" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", cutoff])
+    assert rc == 2
+    assert "cutoff_J" in capsys.readouterr().err
 
 
 def test_io_failure_exits_4(tmp_path):

@@ -14,10 +14,12 @@ from gaplab.group import (
 )
 from gaplab.irreps import (
     MAX_LEVEL,
+    EulerStack,
     IrrepLevel,
     character,
     eigen_angles,
     irrep_matrix,
+    irrep_stack,
 )
 
 from _oracles import eig_multiset_distance, symmetric_power_matrix
@@ -47,6 +49,19 @@ def test_level_zero_is_trivial():
     assert np.array_equal(
         irrep_matrix(0, haar_sample(rng)).entries, np.ones((1, 1))
     )
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 60, MAX_LEVEL])
+def test_stack_equals_per_element_matrices(k):
+    rng = np.random.default_rng(30 + k)
+    elements = [haar_sample(rng) for _ in range(9)] + [identity(), inv(identity())]
+    stack = EulerStack.of(elements)
+    built = irrep_stack(k, stack)
+    assert built.shape == (len(elements), k + 1, k + 1)
+    for g, p in zip(elements, built):
+        assert np.array_equal(p, irrep_matrix(k, g).entries)
+    # a slice of the stack builds the same matrices as the whole
+    assert np.array_equal(irrep_stack(k, stack[3:7]), built[3:7])
 
 
 def test_agrees_with_symmetric_power_oracle():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from gaplab import cli, irreps, lab
+from gaplab.irreps import MAX_LEVEL
 from gaplab.group import GroupTuple, haar_sample, identity, tuple_digest
 from gaplab.group import conjugate_tuple, haar_tuple
 from gaplab.lab import (
@@ -18,6 +20,7 @@ from gaplab.lab import (
     lps_preset,
     record_filename,
     recompute_summary,
+    row_count,
     run_experiment,
 )
 from gaplab.spectral import EigensolverError
@@ -59,6 +62,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="orbit_invariance", n=2, seed=0, walk_length=5,
                          threshold=0.0)
+    for cutoff in (0, MAX_LEVEL + 1):
+        with pytest.raises(ValueError, match="cutoff_J"):
+            scan_config(cutoff_J=cutoff)
     for field, value in [("threshold", math.nan), ("threshold", math.inf),
                          ("tol", math.inf), ("tol", math.nan),
                          ("target", math.nan), ("target", -math.inf)]:
@@ -114,11 +120,26 @@ def test_scan_rows_and_determinism(tmp_path):
     assert rec1.summary == rec2.summary
 
 
-def test_thread_count_does_not_change_rows(tmp_path):
-    cfg = scan_config(samples=12)
+def _rows_at_1_2_and_8_threads(cfg):
     rows1 = run_experiment(cfg, threads=1).rows
-    rows8 = run_experiment(cfg, threads=8).rows
-    assert rows1 == rows8
+    assert [r["index"] for r in rows1] == list(range(row_count(cfg)))
+    for threads in (2, 8):
+        assert run_experiment(cfg, threads=threads).rows == rows1
+    return rows1
+
+
+def test_thread_count_does_not_change_rows():
+    # five blocks and a part: more than a two-thread pool keeps in flight
+    _rows_at_1_2_and_8_threads(scan_config(samples=5 * lab._BLOCK + 3))
+
+
+def test_orbit_rows_across_blocks_and_threads():
+    cfg = ExperimentConfig(kind="orbit_invariance", n=2, seed=4, cutoff_J=2,
+                           walk_length=5 * lab._BLOCK + 3)
+    rows = _rows_at_1_2_and_8_threads(cfg)
+    # consecutive rows share a state, also across block boundaries
+    for prev, row in zip(rows, rows[1:]):
+        assert row["gap_proxy_before"] == prev["gap_proxy"]
 
 
 def test_record_file_layout(tmp_path):
@@ -162,12 +183,14 @@ def test_resume_matches_uninterrupted(tmp_path, kind, threads):
 
 
 def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
-    # every run starts with an empty per-level cache, so pool workers fill
-    # the same level at once; a short switch interval makes them interleave
-    cfg = ExperimentConfig(kind="zero_one_scan", n=2, seed=11, cutoff_J=80,
-                           samples=6)
-    argv = ["scan", "--n", "2", "--cutoff", "80", "--samples", "6", "--seed",
-            "11"]
+    # every run starts with an empty per-level cache, so the blocks on the
+    # pool fill the same level at once; a short switch interval makes them
+    # interleave
+    samples = 2 * lab._BLOCK + 2
+    cfg = ExperimentConfig(kind="zero_one_scan", n=2, seed=11, cutoff_J=40,
+                           samples=samples)
+    argv = ["scan", "--n", "2", "--cutoff", "40", "--samples", str(samples),
+            "--seed", "11"]
 
     def scan(out_dir, threads, *extra):
         irreps._rotation_basis.cache_clear()
@@ -194,6 +217,24 @@ def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
     assert resumed == runs["1"]
 
 
+# sha256 of every record line but the wall-clock line, as the commit before
+# stacked sweeps wrote them (numpy 2.4, OpenBLAS 0.3.31, x86-64); the
+# float digits depend on the C library's atan2 and on LAPACK
+GOLDEN = [
+    (ExperimentConfig(kind="zero_one_scan", n=2, seed=1, cutoff_J=12, samples=3),
+     "72d218da12ad18d2adfc3af5416733fb0bf5f2e119ed3f8ddd84af39dbdfe25d"),
+    (ExperimentConfig(kind="orbit_invariance", n=3, seed=1, cutoff_J=6,
+                      walk_length=20),
+     "6ccd97d01d4430dcfc472839416aca24143cc7a18ef362aa69dba2d3ebec52d0"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", GOLDEN, ids=[c.kind for c, _ in GOLDEN])
+def test_record_bytes_match_the_per_tuple_construction(tmp_path, cfg, digest):
+    lines = Path(run_experiment(cfg, out_dir=tmp_path).path).read_text().splitlines()
+    assert hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest() == digest
+
+
 def test_resume_after_a_cut_at_every_byte(tmp_path):
     # a kill can leave the record cut at any byte, the summary line included
     cfg = scan_config(samples=3, cutoff_J=2)
@@ -210,22 +251,26 @@ def test_resume_after_a_cut_at_every_byte(tmp_path):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_solver_failure_exits_3_and_leaves_a_resumable_record(
         tmp_path, monkeypatch, threads):
-    cfg = scan_config(samples=6)
+    # the failing row lies in the second block, so the first block's rows,
+    # and only they, reach the record
+    samples = lab._BLOCK + 6
+    cfg = scan_config(samples=samples)
     full = run_experiment(cfg)
-    argv = ["scan", "--n", "2", "--cutoff", "6", "--samples", "6", "--seed",
-            "7", "--threads", str(threads), "--out-dir", str(tmp_path)]
-    real = lab.lambda1_estimate
+    argv = ["scan", "--n", "2", "--cutoff", "6", "--samples", str(samples),
+            "--seed", "7", "--threads", str(threads), "--out-dir", str(tmp_path)]
+    real = lab.lambda1_estimates
+    failing = full.rows[lab._BLOCK + 1]["digest"]
 
-    def fail_on_row_3(t, cutoff_J):
-        if tuple_digest(t) == full.rows[3]["digest"]:
+    def fail_on_one_row(tuples, cutoff_J):
+        if any(tuple_digest(t) == failing for t in tuples):
             raise EigensolverError("no convergence", level_k=cutoff_J)
-        return real(t, cutoff_J)
+        return real(tuples, cutoff_J)
 
-    monkeypatch.setattr(lab, "lambda1_estimate", fail_on_row_3)
+    monkeypatch.setattr(lab, "lambda1_estimates", fail_on_one_row)
     assert cli.main(argv) == 3
     lines = (tmp_path / record_filename(cfg)).read_text().splitlines()
-    assert [json.loads(line) for line in lines[1:]] == full.rows[:3]
-    monkeypatch.setattr(lab, "lambda1_estimate", real)
+    assert [json.loads(line) for line in lines[1:]] == full.rows[:lab._BLOCK]
+    monkeypatch.setattr(lab, "lambda1_estimates", real)
     assert cli.main(argv + ["--resume"]) == 0
     assert load_record(tmp_path / record_filename(cfg)).rows == full.rows
 

@@ -12,12 +12,14 @@ from gaplab.group import (
     haar_tuple,
     identity,
 )
-from gaplab.irreps import irrep_matrix
+from gaplab import spectral
+from gaplab.irreps import MAX_LEVEL, irrep_matrix
 from gaplab.lab import lps_preset
 from gaplab.spectral import (
     EigensolverError,
     averaging_operator,
     lambda1_estimate,
+    lambda1_estimates,
     lambda_max,
     level_gap_bounds,
     minmax_gap_estimate,
@@ -130,6 +132,28 @@ def test_lambda1_monotone_in_cutoff():
             lambda1_estimate(t, 10).lambda1_J
             <= lambda1_estimate(t, 15).lambda1_J + 1e-15
         )
+
+
+def test_stacked_sweep_equals_per_tuple_sweeps():
+    # 18 tuples straddle the sub-stack size at many levels: at k = 60 it is 4
+    # operators, at k = 30 it is 17, and below k = 30 all 18 fit in one
+    assert spectral._STACK_ENTRIES // 61 ** 2 == 4
+    assert spectral._STACK_ENTRIES // 31 ** 2 == 17
+    rng = np.random.default_rng(17)
+    ts = [haar_tuple(rng, 3) for _ in range(18)]
+    alone = [lambda1_estimate(t, 60) for t in ts]
+    for size in (1, 4, 5, 18):
+        assert lambda1_estimates(ts[:size], 60) == alone[:size]
+    assert lambda1_estimates([], 60) == []
+
+
+def test_stacked_sweep_validates_its_inputs():
+    ts = [identity_pair(), identity_pair()]
+    for cutoff in (0, MAX_LEVEL + 1):
+        with pytest.raises(ValueError):
+            lambda1_estimates(ts, cutoff)
+    with pytest.raises(ValueError, match="one rank"):
+        lambda1_estimates([identity_pair(), lps_preset()], 3)
 
 
 def test_lps_preset_is_ramanujan_bounded():
