@@ -33,7 +33,6 @@ from .group import (
 from .irreps import IrrepLevel, RepMatrix, character, eigen_angles, irrep_matrix
 from .spectral import (
     AveragingOperator,
-    EigensolverError,
     LevelGap,
     SpectralReport,
     averaging_operator,

@@ -31,6 +31,7 @@ import numpy as np
 
 from .charvar import LevelSetSamplingError
 from .group import GroupElement, GroupTuple, haar_sample, haar_tuple
+from .irreps import MAX_LEVEL
 from .lab import (
     ExperimentConfig,
     NonFiniteError,
@@ -39,8 +40,7 @@ from .lab import (
     record_filename,
     run_experiment,
 )
-from .spectral import EigensolverError, lambda1_estimate, level_gap_bounds, \
-    minmax_gap_estimate
+from .spectral import lambda1_estimate, level_gap_bounds, minmax_gap_estimate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -150,6 +150,8 @@ def cmd_gap(args) -> int:
     t = _resolve_tuple(args)
     if (args.level is None) == (args.cutoff is None):
         raise CliError("choose exactly one of --level and --cutoff")
+    if args.cutoff is not None and not 1 <= args.cutoff <= MAX_LEVEL:
+        raise CliError(f"--cutoff must lie in [1, {MAX_LEVEL}]")
     levels = [args.level] if args.level is not None else list(
         range(1, args.cutoff + 1))
     for k in levels:
@@ -334,8 +336,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # LinAlgError and NonFiniteError subclass ValueError, so they go first
-    except (EigensolverError, LevelSetSamplingError, np.linalg.LinAlgError,
-            NonFiniteError) as e:
+    except (LevelSetSamplingError, np.linalg.LinAlgError, NonFiniteError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliError, ValueError) as e:

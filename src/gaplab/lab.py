@@ -354,21 +354,21 @@ def row_count(config: ExperimentConfig) -> int:
 
 def _gap_quantiles(rows, config):
     """Median gap proxy at every prefix cutoff J' <= cutoff_J."""
-    ok = [r for r in rows if "per_level" in r]
-    if not ok:
+    if not rows:
         return []
-    arr = np.array([r["per_level"] for r in ok])
+    arr = np.array([r["per_level"] for r in rows])
     prefix = np.maximum.accumulate(arr, axis=1)
     return [float(v) for v in np.median(2.0 * config.n - prefix, axis=0)]
 
 
 def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
     """The summary statistic block, rebuilt from rows alone."""
+    # no row carries "error" (a numerical failure stops the run instead), so
+    # this is 0; the key stays in every summary to keep the record layout
     errors = sum(1 for r in rows if "error" in r)
     if config.kind == "zero_one_scan":
-        ok = [r for r in rows if "error" not in r]
-        pgaps = [r["pgap"] for r in ok]
-        gaps = [r["gap_proxy"] for r in ok]
+        pgaps = [r["pgap"] for r in rows]
+        gaps = [r["gap_proxy"] for r in rows]
         return {
             "samples": len(rows),
             "errors": errors,
@@ -381,14 +381,15 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
                     "measure-one alternative",
         }
     if config.kind == "orbit_invariance":
-        ok = [r for r in rows if "error" not in r]
-        checks = [r["stability_ok"] for r in ok]
+        checks = [r["stability_ok"] for r in rows]
         out = {
             "steps": len(rows),
             "errors": errors,
             "stability_pass_rate": (sum(checks) / len(checks)) if checks else None,
-            "pgap_fraction": (sum(r["pgap"] for r in ok) / len(ok)) if ok else None,
-            "final_gap_proxy": ok[-1]["gap_proxy"] if ok else None,
+            "pgap_fraction": (
+                sum(r["pgap"] for r in rows) / len(rows) if rows else None
+            ),
+            "final_gap_proxy": rows[-1]["gap_proxy"] if rows else None,
         }
         if config.n == 2:
             gs = [r["commutator_trace"] for r in rows if "commutator_trace" in r]
@@ -397,7 +398,6 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
     if config.kind == "level_set_walk":
         fiber = [r for r in rows if r.get("phase") == "fiber"]
         walk = [r for r in rows if r.get("phase") == "walk"]
-        ok = [r for r in fiber if "error" not in r]
         tries = sum(r["tries"] for r in fiber)
         walk_gs = [r["commutator_trace"] for r in walk]
         fiber_gs = [r["commutator_trace"] for r in fiber]
@@ -407,7 +407,7 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
             "errors": errors,
             "acceptance_rate": (len(fiber) / tries) if tries else None,
             "pgap_zero_fraction": (
-                sum(1 for r in ok if r["pgap"] == 0) / len(ok) if ok else None
+                sum(1 for r in fiber if r["pgap"] == 0) / len(fiber) if fiber else None
             ),
             "max_g_drift_walk": (max(walk_gs) - min(walk_gs)) if walk_gs else None,
             "max_fiber_dev": (
@@ -423,10 +423,9 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
             out["ks_x_walk_vs_fiber"] = None
         return out
     # lps_benchmark
-    ok = [r for r in rows if "error" not in r]
     edge = 2.0 * math.sqrt(5.0)
-    max_overall = max((r["lambda_max"] for r in ok), default=None)
-    max_even = max((r["lambda_max"] for r in ok if r["k"] % 2 == 0), default=None)
+    max_overall = max((r["lambda_max"] for r in rows), default=None)
+    max_even = max((r["lambda_max"] for r in rows if r["k"] % 2 == 0), default=None)
     return {
         "levels": len(rows),
         "errors": errors,

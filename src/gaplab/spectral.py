@@ -44,6 +44,11 @@ memory does not grow with the number of tuples or with the level.  Every
 operation acts matrix by matrix, so each report is bit for bit the one the
 tuple gets alone; :func:`lambda1_estimate` and :func:`averaging_operator` are
 the stack of one tuple.
+
+Every top eigenvalue comes from dense ``eigvalsh``, stacked here and on one
+matrix in :func:`lambda_max`.  Operators have dimension at most MAX_LEVEL + 1
+= 201, where a dense solve costs little and is accurate to roundoff; its only
+failure is ``numpy.linalg.LinAlgError``, which propagates.
 """
 
 from __future__ import annotations
@@ -67,23 +72,9 @@ from .irreps import (
 DEFAULT_CUTOFF = 40
 DEFAULT_THRESHOLD = 1e-3
 
-# Dense eigensolve below this dimension, restarted Lanczos above.
-DENSE_LIMIT = 512
-
-_EIG_TOL = 1e-10
-
 # Matrix entries per sub-stack of a stacked sweep (16 bytes each): 256 KB
 # per stacked array, whatever the level; see BENCH_batched_levels.json.
 _STACK_ENTRIES = 2 ** 14
-
-
-class EigensolverError(RuntimeError):
-    """Raised when the iterative eigensolver fails to converge."""
-
-    def __init__(self, message, residual=None, level_k=None):
-        super().__init__(message)
-        self.residual = residual
-        self.level_k = level_k
 
 
 @dataclass
@@ -145,83 +136,16 @@ def _operator_stack(level: IrrepLevel, stacks: list) -> np.ndarray:
     return acc
 
 
-def _lanczos_top(m: np.ndarray, tol: float, max_restarts: int, krylov_dim: int):
-    """Largest eigenvalue by restarted Lanczos with full reorthogonalization.
-
-    Deterministic start vector; restarts continue from the best Ritz vector.
-    Returns the Ritz value once ||A v - theta v|| < tol, else raises with the
-    best residual achieved.
-    """
-    d = m.shape[0]
-    width = min(d, krylov_dim)
-    idx = np.arange(d)
-    v = (1.0 + 0.25 * np.sin(idx + 1.0)) + 0.1j * np.cos(2.0 * idx + 0.5)
-    v = v / np.linalg.norm(v)
-    best_theta, best_resid = None, math.inf
-    for _ in range(max_restarts):
-        basis = np.zeros((d, width), dtype=np.complex128)
-        alphas, betas = [], []
-        q, beta = v, 0.0
-        q_prev = np.zeros(d, dtype=np.complex128)
-        steps = 0
-        for j in range(width):
-            basis[:, j] = q
-            u = m @ q
-            alpha = float(np.real(np.vdot(q, u)))
-            alphas.append(alpha)
-            steps = j + 1
-            u = u - alpha * q - beta * q_prev
-            # full reorthogonalization: cheap at these dimensions and it
-            # keeps the Ritz residual honest
-            u -= basis[:, : j + 1] @ (basis[:, : j + 1].conj().T @ u)
-            beta = float(np.linalg.norm(u))
-            if beta < 1e-14:
-                break
-            betas.append(beta)
-            q_prev, q = q, u / beta
-        tri = np.diag(alphas[:steps]) + np.diag(betas[: steps - 1], 1) + np.diag(
-            betas[: steps - 1], -1
-        )
-        evals, evecs = np.linalg.eigh(tri)
-        theta = float(evals[-1])
-        ritz = basis[:, :steps] @ evecs[:, -1]
-        ritz = ritz / np.linalg.norm(ritz)
-        resid = float(np.linalg.norm(m @ ritz - theta * ritz))
-        if resid < best_resid:
-            best_theta, best_resid = theta, resid
-        if resid < tol:
-            return theta
-        v = ritz
-    raise EigensolverError(
-        f"Lanczos did not reach residual {tol:g} after {max_restarts} restarts "
-        f"(best residual {best_resid:.3e})",
-        residual=best_resid,
-    )
-
-
-def lambda_max(a: AveragingOperator, method: str = "auto", tol: float = _EIG_TOL,
-               max_restarts: int = 16, krylov_dim: int = 48) -> float:
-    """Largest eigenvalue of the averaging operator.
-
-    Dense Hermitian eigendecomposition up to DENSE_LIMIT, restarted Lanczos
-    above; ``method`` forces one path ("dense" / "iterative") for
-    cross-validation.
-    """
-    if method == "auto":
-        method = "dense" if a.matrix.shape[0] <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        return float(np.linalg.eigvalsh(a.matrix)[-1])
-    if method == "iterative":
-        return _lanczos_top(a.matrix, tol, max_restarts, krylov_dim)
-    raise ValueError(f"unknown method {method!r}")
+def lambda_max(a: AveragingOperator) -> float:
+    """Largest eigenvalue of the averaging operator (dense ``eigvalsh``)."""
+    return float(np.linalg.eigvalsh(a.matrix)[-1])
 
 
 def lambda1_estimates(tuples, cutoff_J: int) -> list[SpectralReport]:
     """Sweep k = 1..cutoff_J for tuples of one rank and report, per tuple,
     lambda1_J = max_k lambda_max.
 
-    Each result is a lower bound for the supremum over all levels;
-    eigensolver failures propagate annotated with the offending k.
+    Each result is a lower bound for the supremum over all levels.
     """
     if cutoff_J < 1:
         raise ValueError("cutoff_J must be >= 1")
@@ -240,14 +164,7 @@ def lambda1_estimates(tuples, cutoff_J: int) -> list[SpectralReport]:
         step = max(1, _STACK_ENTRIES // level.dim ** 2)
         for lo in range(0, len(tuples), step):
             ops = _operator_stack(level, [s[lo:lo + step] for s in stacks])
-            if level.dim <= DENSE_LIMIT:
-                lams = np.linalg.eigvalsh(ops)[:, -1].tolist()
-            else:
-                try:
-                    lams = [lambda_max(AveragingOperator(level, m, n)) for m in ops]
-                except EigensolverError as e:
-                    e.level_k = k
-                    raise
+            lams = np.linalg.eigvalsh(ops)[:, -1].tolist()
             for row, lam in zip(per[lo:lo + step], lams):
                 row.append((k, lam))
     reports = []

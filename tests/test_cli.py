@@ -14,7 +14,6 @@ from gaplab import lab
 from gaplab.group import tuple_digest
 from gaplab.irreps import MAX_LEVEL
 from gaplab.lab import record_filename, run_experiment, ExperimentConfig
-from gaplab.spectral import EigensolverError
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,7 +243,7 @@ def test_argparse_errors_exit_2():
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     def boom(t, cutoff):
-        raise EigensolverError("forced failure", residual=1.0, level_k=2)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(cli, "lambda1_estimate", boom)
     rc = cli.main(["spectrum", "--n", "2", "--cutoff", "3", "--seed", "1"])
@@ -306,6 +305,14 @@ def test_cutoff_above_the_highest_level_exits_2_before_any_work(tmp_path,
     rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", cutoff])
     assert rc == 2
     assert "cutoff_J" in capsys.readouterr().err
+    # gap prints a row per level as it goes, so a bad cutoff must stop it
+    # before the first row
+    for bad in (cutoff, "0"):
+        rc = cli.main(["gap", "--n", "2", "--seed", "1", "--cutoff", bad])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--cutoff" in err
 
 
 def test_io_failure_exits_4(tmp_path):
