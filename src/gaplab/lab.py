@@ -37,19 +37,19 @@ the partial file and yields the same rows as an uninterrupted run.
 Execution
 ---------
 
-Every kind maps one task over consecutive blocks of _BLOCK row indices.  A
-scan or orbit task computes the spectra of its whole block with one stacked
+Scan, orbit and fiber rows map one task over consecutive blocks of _BLOCK
+row indices.  A task computes the spectra of its whole block with one stacked
 sweep (:func:`~gaplab.spectral.lambda1_estimates`; an orbit block also
 sweeps the state before its first row), which gives each tuple exactly the
-spectrum it gets alone, so block boundaries never show in the rows.  Fiber
-and lps rows keep one call per row.  With ``threads > 1`` the
+spectrum it gets alone, so block boundaries never show in the rows.  The lps
+rows are the levels of one sweep of the preset.  With ``threads > 1`` the
 blocks run on a thread pool that keeps at most 2 * threads of them in flight
 and hands rows back in index order.  Rows are still written, and a stop
 honoured, one row at a time: a stop after r rows leaves exactly r rows, and
 resuming starts the first block at row r.  There are no error rows: a
-numerical failure propagates out of the run and fails the block it occurred
-in, which leaves every row of the earlier blocks as a resumable partial
-record.
+numerical failure propagates out of the run and fails the block (for lps,
+the sweep) it occurred in, which leaves every row of the earlier blocks as a
+resumable partial record.
 """
 
 from __future__ import annotations
@@ -75,10 +75,8 @@ from .nielsen import apply_move, random_walk, word_length_bound
 from .spectral import (
     DEFAULT_THRESHOLD,
     SpectralReport,
-    averaging_operator,
     lambda1_estimate,
     lambda1_estimates,
-    lambda_max,
     pgap_from_report,
 )
 
@@ -259,10 +257,7 @@ def _scan_rows(config: ExperimentConfig, block: range) -> list[dict]:
     return rows
 
 
-def _orbit_states(config: ExperimentConfig, start: GroupTuple | None):
-    if start is None:
-        rng = np.random.default_rng(derive_seed(config.seed, config.kind + ":start", 0))
-        start = haar_tuple(rng, config.n)
+def _walk_states(config: ExperimentConfig, start: GroupTuple):
     walk_rng = np.random.default_rng(derive_seed(config.seed, config.kind + ":walk", 0))
     walk = random_walk(walk_rng, config.n, config.walk_length)
     states = [start]
@@ -300,42 +295,35 @@ def _orbit_rows(config: ExperimentConfig, walk, states: list,
             for i, before, after in zip(block, spectra, spectra[1:])]
 
 
-def _fiber_row(config: ExperimentConfig, i: int) -> dict:
-    rng = np.random.default_rng(derive_seed(config.seed, config.kind + ":fiber", i))
-    t, tries = sample_level_set_counted(
-        config.target, config.tol, rng, config.max_tries
-    )
-    return {
+def _fiber_rows(config: ExperimentConfig, block: range) -> list[dict]:
+    draws = [
+        sample_level_set_counted(config.target, config.tol, np.random.default_rng(
+            derive_seed(config.seed, config.kind + ":fiber", i)), config.max_tries)
+        for i in block
+    ]
+    spectra = _block_spectra([t for t, _ in draws], config)
+    return [{
         "index": i,
         "phase": "fiber",
         "tries": tries,
         "x": trace_coords(t).x,
         "commutator_trace": commutator_trace(t),
         "digest": tuple_digest(t),
-        **_spectral_fields(lambda1_estimate(t, config.cutoff_J), config),
-    }
+        **spectral,
+    } for i, (t, tries), spectral in zip(block, draws, spectra)]
 
 
 def _fiber_walk_rows(config: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(derive_seed(config.seed, config.kind + ":walkstart", 0))
-    t, _ = sample_level_set_counted(config.target, config.tol, rng, config.max_tries)
-    walk_rng = np.random.default_rng(derive_seed(config.seed, config.kind + ":walk", 0))
-    walk = random_walk(walk_rng, 2, config.walk_length)
-    rows = []
-    for s, m in enumerate(walk):
-        t = apply_move(m, t)
-        rows.append({
-            "index": config.samples + s,
-            "phase": "walk",
-            "x": trace_coords(t).x,
-            "commutator_trace": commutator_trace(t),
-        })
-    return rows
-
-
-def _lps_row(config: ExperimentConfig, i: int, preset: GroupTuple) -> dict:
-    k = i + 1
-    return {"index": i, "k": k, "lambda_max": lambda_max(averaging_operator(preset, k))}
+    start, _ = sample_level_set_counted(config.target, config.tol, rng,
+                                        config.max_tries)
+    _, states = _walk_states(config, start)
+    return [{
+        "index": config.samples + s,
+        "phase": "walk",
+        "x": trace_coords(t).x,
+        "commutator_trace": commutator_trace(t),
+    } for s, t in enumerate(states[1:])]
 
 
 def row_count(config: ExperimentConfig) -> int:
@@ -466,16 +454,19 @@ def _compute_rows(config: ExperimentConfig, start: int, threads: int,
         yield from _ordered_map(lambda b: _scan_rows(config, b), start, total,
                                 threads)
     elif config.kind == "lps_benchmark":
-        preset = lps_preset()
-        yield from _ordered_map(lambda b: [_lps_row(config, i, preset) for i in b],
-                                start, total, threads)
+        report = lambda1_estimate(lps_preset(), config.cutoff_J)
+        for i, (k, lam) in enumerate(report.per_level[start:], start):
+            yield {"index": i, "k": k, "lambda_max": lam}
     elif config.kind == "orbit_invariance":
-        walk, states = _orbit_states(config, orbit_start)
+        if orbit_start is None:
+            orbit_start = haar_tuple(np.random.default_rng(
+                derive_seed(config.seed, config.kind + ":start", 0)), config.n)
+        walk, states = _walk_states(config, orbit_start)
         yield from _ordered_map(lambda b: _orbit_rows(config, walk, states, b),
                                 start, total, threads)
     else:  # level_set_walk
-        yield from _ordered_map(lambda b: [_fiber_row(config, i) for i in b],
-                                start, config.samples, threads)
+        yield from _ordered_map(lambda b: _fiber_rows(config, b), start,
+                                config.samples, threads)
         yield from _fiber_walk_rows(config)[max(0, start - config.samples):]
 
 

@@ -20,7 +20,8 @@ sandwiches the definitional min-max gap g_k = min_{|v|=1} max_i ||(pi_k(t_i)
     sqrt((2n - lambda_max)/n)  <=  g_k  <=  sqrt(2n - lambda_max).
 
 The subgradient optimizer in :func:`minmax_gap_estimate` refines g_k from
-above; the bounds, not the optimizer, carry the correctness story.
+above; the bounds, not the optimizer, carry the correctness story.  Its
+lambda_max comes from :func:`lambda_max`, its first start from ``eigh``.
 
 :func:`literal_gap_formula` evaluates the weaker variant
 
@@ -69,7 +70,6 @@ from .irreps import (
     irrep_stack,
 )
 
-DEFAULT_CUTOFF = 40
 DEFAULT_THRESHOLD = 1e-3
 
 # Matrix entries per sub-stack of a stacked sweep (16 bytes each): 256 KB
@@ -238,9 +238,12 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
     level = as_level(level)
     if level.k < 1:
         raise ValueError("gap estimates live on levels k >= 1")
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     a = averaging_operator(t, level)
-    evals, evecs = np.linalg.eigh(a.matrix)
-    lam = float(evals[-1])
+    lam = lambda_max(a)
     lower, upper = _bounds_from_lambda(lam, len(t))
     d = level.dim
     bs = np.stack([irrep_matrix(level, g).entries - np.eye(d) for g in t])
@@ -250,8 +253,8 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
         return np.linalg.norm(bs @ v, axis=1)
 
     rng = np.random.default_rng(seed)
-    starts = [evecs[:, -1]]
-    for _ in range(max(restarts - 1, 0)):
+    starts = [np.linalg.eigh(a.matrix)[1][:, -1]]
+    for _ in range(restarts - 1):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         starts.append(v / np.linalg.norm(v))
     best = math.inf

@@ -144,6 +144,32 @@ def test_gap_needs_exactly_one_of_level_and_cutoff(tmp_path):
                    "--cutoff", "2").returncode == 2
 
 
+@pytest.mark.parametrize("source", [["--n", "2", "--seed", "1"],
+                                    ["--n", "3", "--seed", "2"]],
+                         ids=["pair", "triple"])
+def test_gap_prints_one_lambda_per_level(capsys, source):
+    # k, lambda_max, lower and upper do not depend on --minmax
+    def columns(*extra):
+        assert cli.main(["gap", *source, "--cutoff", "10", *extra]) == 0
+        return [line.split(",")[:4]
+                for line in capsys.readouterr().out.splitlines()]
+
+    plain = columns()
+    assert len(plain) == 10
+    assert columns("--minmax", "--restarts", "2", "--iters", "5") == plain
+
+
+def test_gap_minmax_rejects_bad_optimizer_flags(capsys):
+    argv = ["gap", "--n", "2", "--seed", "1", "--cutoff", "3", "--minmax"]
+    for flag, bad in (("--iters", "-1"), ("--restarts", "0")):
+        assert cli.main(argv + [flag, bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag[2:] in err
+    assert cli.main(argv + ["--iters", "0", "--restarts", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

@@ -34,6 +34,11 @@ def scan_config(**kw):
 LEVEL_SET = dict(kind="level_set_walk", n=2, seed=21, cutoff_J=3, samples=4,
                  walk_length=5, target=0.0, tol=0.05, threshold=0.1)
 
+# fiber rows over two blocks
+FIBER_TWO_BLOCKS = ExperimentConfig(kind="level_set_walk", n=2, seed=1,
+                                    cutoff_J=6, samples=lab._BLOCK + 6,
+                                    walk_length=20, target=0.0, tol=0.05)
+
 RESUMABLE = {
     "zero_one_scan": scan_config(samples=8),
     "orbit_invariance": ExperimentConfig(kind="orbit_invariance", n=3, seed=2,
@@ -141,6 +146,23 @@ def test_orbit_rows_across_blocks_and_threads():
         assert row["gap_proxy_before"] == prev["gap_proxy"]
 
 
+def test_fiber_rows_across_blocks_threads_and_resume(tmp_path):
+    cfg = FIBER_TWO_BLOCKS
+    _rows_at_1_2_and_8_threads(cfg)
+    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
+    full_dir.mkdir()
+    part_dir.mkdir()
+    run_experiment(cfg, out_dir=full_dir)
+    # the stop falls inside the second block of fiber rows
+    partial = run_experiment(cfg, out_dir=part_dir, threads=2,
+                             stop_after_rows=lab._BLOCK + 3)
+    assert len(partial.rows) == lab._BLOCK + 3
+    run_experiment(cfg, out_dir=part_dir, threads=2, resume=True)
+    full_lines = (full_dir / record_filename(cfg)).read_text().splitlines()
+    part_lines = (part_dir / record_filename(cfg)).read_text().splitlines()
+    assert full_lines[:-1] == part_lines[:-1]  # all but the wall-clock line
+
+
 def test_record_file_layout(tmp_path):
     cfg = scan_config(samples=4)
     rec = run_experiment(cfg, out_dir=tmp_path)
@@ -225,6 +247,12 @@ GOLDEN = [
     (ExperimentConfig(kind="orbit_invariance", n=3, seed=1, cutoff_J=6,
                       walk_length=20),
      "6ccd97d01d4430dcfc472839416aca24143cc7a18ef362aa69dba2d3ebec52d0"),
+    # two blocks of fiber rows, and 70 lps levels, as one row per call
+    # wrote them
+    (FIBER_TWO_BLOCKS,
+     "e476ddc99de7c5d6fd371087b47057722cf0197c10b90fb99bc9a77c3cdfd46c"),
+    (ExperimentConfig(kind="lps_benchmark", n=3, seed=0, cutoff_J=70),
+     "a3d94944821b4b606aa8ff149a1cab0c2a5c0cbb5e022c63e65ef6785bc6787e"),
 ]
 
 
