@@ -44,6 +44,9 @@ RESUMABLE = {
     "orbit_invariance": ExperimentConfig(kind="orbit_invariance", n=3, seed=2,
                                          cutoff_J=4, walk_length=8),
     "level_set_walk": ExperimentConfig(**LEVEL_SET),
+    "level_set_walk_two_blocks": FIBER_TWO_BLOCKS,
+    "lps_benchmark": ExperimentConfig(kind="lps_benchmark", n=3, seed=0,
+                                      cutoff_J=8),
 }
 
 
@@ -146,21 +149,8 @@ def test_orbit_rows_across_blocks_and_threads():
         assert row["gap_proxy_before"] == prev["gap_proxy"]
 
 
-def test_fiber_rows_across_blocks_threads_and_resume(tmp_path):
-    cfg = FIBER_TWO_BLOCKS
-    _rows_at_1_2_and_8_threads(cfg)
-    full_dir, part_dir = tmp_path / "full", tmp_path / "part"
-    full_dir.mkdir()
-    part_dir.mkdir()
-    run_experiment(cfg, out_dir=full_dir)
-    # the stop falls inside the second block of fiber rows
-    partial = run_experiment(cfg, out_dir=part_dir, threads=2,
-                             stop_after_rows=lab._BLOCK + 3)
-    assert len(partial.rows) == lab._BLOCK + 3
-    run_experiment(cfg, out_dir=part_dir, threads=2, resume=True)
-    full_lines = (full_dir / record_filename(cfg)).read_text().splitlines()
-    part_lines = (part_dir / record_filename(cfg)).read_text().splitlines()
-    assert full_lines[:-1] == part_lines[:-1]  # all but the wall-clock line
+def test_fiber_rows_across_blocks_and_threads():
+    _rows_at_1_2_and_8_threads(FIBER_TWO_BLOCKS)
 
 
 def test_record_file_layout(tmp_path):
@@ -191,9 +181,11 @@ def test_resume_matches_uninterrupted(tmp_path, kind, threads):
     full_dir.mkdir()
     part_dir.mkdir()
     full = run_experiment(cfg, out_dir=full_dir)
+    # the stop falls inside the second block when there is one
+    stop = lab._BLOCK + 3 if row_count(cfg) > lab._BLOCK + 3 else 3
     partial = run_experiment(cfg, out_dir=part_dir, threads=threads,
-                             stop_after_rows=3)
-    assert partial.summary is None and len(partial.rows) == 3
+                             stop_after_rows=stop)
+    assert partial.summary is None and len(partial.rows) == stop
     resumed = run_experiment(cfg, out_dir=part_dir, threads=threads,
                              resume=True)
     assert resumed.rows == full.rows
@@ -300,6 +292,26 @@ def test_solver_failure_exits_3_and_leaves_a_resumable_record(
     monkeypatch.setattr(lab, "lambda1_estimates", real)
     assert cli.main(argv + ["--resume"]) == 0
     assert load_record(tmp_path / record_filename(cfg)).rows == full.rows
+
+
+def test_lps_failure_costs_only_its_block(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(kind="lps_benchmark", n=3, seed=0,
+                           cutoff_J=lab._BLOCK + 6)
+    full = run_experiment(cfg)
+    real = lab.level_gap_bounds
+
+    def fail_on_one_level(t, level):
+        if level == lab._BLOCK + 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(t, level)
+
+    monkeypatch.setattr(lab, "level_gap_bounds", fail_on_one_level)
+    with pytest.raises(np.linalg.LinAlgError):
+        run_experiment(cfg, out_dir=tmp_path, threads=2)
+    path = tmp_path / record_filename(cfg)
+    assert load_record(path).rows == full.rows[:lab._BLOCK]
+    monkeypatch.setattr(lab, "level_gap_bounds", real)
+    assert run_experiment(cfg, out_dir=tmp_path, resume=True).rows == full.rows
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
