@@ -33,6 +33,7 @@ from .charvar import LevelSetSamplingError
 from .group import GroupElement, GroupTuple, haar_sample, haar_tuple
 from .irreps import MAX_LEVEL
 from .lab import (
+    LPS_EDGE,
     ExperimentConfig,
     NonFiniteError,
     json_line,
@@ -50,10 +51,6 @@ EXIT_IO = 4
 
 class CliError(Exception):
     """Input or configuration problem; maps to exit code 2."""
-
-
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def read_tuple_file(path) -> GroupTuple:
@@ -122,7 +119,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     blocks = []
     for _ in range(args.count):
-        rows = [" ".join(_fmt17(c) for c in haar_sample(rng).coords())
+        rows = [" ".join(json_line(c) for c in haar_sample(rng).coords())
                 for _ in range(args.n)]
         blocks.append("\n".join(rows))
     sys.stdout.write("\n\n".join(blocks) + "\n")
@@ -133,7 +130,7 @@ def cmd_spectrum(args) -> int:
     t = _resolve_tuple(args)
     report = lambda1_estimate(t, args.cutoff)
     for k, lam in report.per_level:
-        print(f"{k},{_fmt17(lam)}")
+        print(f"{k},{json_line(lam)}")
     summary = {
         "n": len(t),
         "cutoff_J": report.cutoff_J,
@@ -141,7 +138,7 @@ def cmd_spectrum(args) -> int:
         "gap_proxy": report.gap_proxy,
     }
     if args.lps:
-        summary["margin"] = 2.0 * 5.0 ** 0.5 - report.lambda1_J
+        summary["margin"] = LPS_EDGE - report.lambda1_J
     _emit_summary(args, summary)
     return EXIT_OK
 
@@ -158,12 +155,12 @@ def cmd_gap(args) -> int:
         if args.minmax:
             lg = minmax_gap_estimate(t, k, restarts=args.restarts,
                                      iters=args.iters)
-            tail = _fmt17(lg.minmax_estimate)
+            tail = json_line(lg.minmax_estimate)
         else:
             lg = level_gap_bounds(t, k)
             tail = ""
-        print(f"{k},{_fmt17(lg.lambda_max)},{_fmt17(lg.lower)},"
-              f"{_fmt17(lg.upper)},{tail}")
+        print(f"{k},{json_line(lg.lambda_max)},{json_line(lg.lower)},"
+              f"{json_line(lg.upper)},{tail}")
     return EXIT_OK
 
 

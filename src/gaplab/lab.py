@@ -46,12 +46,12 @@ lps row is one level of the preset
 (:func:`~gaplab.spectral.level_gap_bounds`, the value ``gap`` prints), so a
 resume computes only the levels it still lacks.  With ``threads > 1`` the
 blocks run on a thread pool that keeps at most 2 * threads of them in flight
-and hands rows back in index order.  Rows are still written, and a stop
-honoured, one row at a time: a stop after r rows leaves exactly r rows, and
-resuming starts the first block at row r.  There are no error rows: a
-numerical failure propagates out of the run and fails the block it occurred
-in, which leaves every row of the earlier blocks as a resumable partial
-record.
+and hands rows back in index order.  Rows are still written and flushed one
+row at a time, so a kill leaves the config line, every row written before
+it, and at most one torn line; resuming cuts the torn line and starts the
+first block at the first missing row.  There are no error rows: a numerical
+failure propagates out of the run and fails the block it occurred in, which
+leaves every row of the earlier blocks as a resumable partial record.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ import numpy as np
 from scipy import stats
 
 from . import __version__ as ARTIFACT_VERSION
-from .charvar import commutator_trace, sample_level_set_counted, trace_coords
-from .group import GroupElement, GroupTuple, haar_tuple, tuple_digest
+from .charvar import commutator_trace, sample_level_set_counted
+from .group import GroupElement, GroupTuple, haar_tuple, trace, tuple_digest
 from .irreps import MAX_LEVEL
 from .nielsen import apply_move, random_walk, word_length_bound
 from .spectral import (
@@ -92,6 +92,10 @@ _STABILITY_SLACK = 1e-6
 # ran the 1500-step orbit as fast on two threads as on one (see
 # BENCH_batched_levels.json).
 _BLOCK = 64
+
+
+# the optimal edge 2 sqrt(5) for the LPS preset's averaging operator
+LPS_EDGE = 2.0 * math.sqrt(5.0)
 
 
 def lps_preset() -> GroupTuple:
@@ -156,7 +160,6 @@ class ExperimentConfig:
 @dataclass
 class RunRecord:
     config: ExperimentConfig
-    config_hash: str
     rows: list
     summary: dict
     wall_clock_s: float
@@ -309,7 +312,7 @@ def _fiber_rows(config: ExperimentConfig, block: range) -> list[dict]:
         "index": i,
         "phase": "fiber",
         "tries": tries,
-        "x": trace_coords(t).x,
+        "x": trace(t[0]),
         "commutator_trace": commutator_trace(t),
         "digest": tuple_digest(t),
         **spectral,
@@ -324,7 +327,7 @@ def _fiber_walk_rows(config: ExperimentConfig) -> list[dict]:
     return [{
         "index": config.samples + s,
         "phase": "walk",
-        "x": trace_coords(t).x,
+        "x": trace(t[0]),
         "commutator_trace": commutator_trace(t),
     } for s, t in enumerate(states[1:])]
 
@@ -354,15 +357,14 @@ def _gap_quantiles(rows, config):
 
 def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
     """The summary statistic block, rebuilt from rows alone."""
-    # no row carries "error" (a numerical failure stops the run instead), so
-    # this is 0; the key stays in every summary to keep the record layout
-    errors = sum(1 for r in rows if "error" in r)
+    # "errors" is 0: no row carries an error (a numerical failure stops the
+    # run instead); the key stays in every summary to keep the record layout
     if config.kind == "zero_one_scan":
         pgaps = [r["pgap"] for r in rows]
         gaps = [r["gap_proxy"] for r in rows]
         return {
             "samples": len(rows),
-            "errors": errors,
+            "errors": 0,
             "pgap_fraction": (sum(pgaps) / len(pgaps)) if pgaps else None,
             "gap_proxy_median": float(np.median(gaps)) if gaps else None,
             "gap_proxy_min": min(gaps) if gaps else None,
@@ -375,7 +377,7 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
         checks = [r["stability_ok"] for r in rows]
         out = {
             "steps": len(rows),
-            "errors": errors,
+            "errors": 0,
             "stability_pass_rate": (sum(checks) / len(checks)) if checks else None,
             "pgap_fraction": (
                 sum(r["pgap"] for r in rows) / len(rows) if rows else None
@@ -395,7 +397,7 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
         out = {
             "fiber_samples": len(fiber),
             "walk_steps": len(walk),
-            "errors": errors,
+            "errors": 0,
             "acceptance_rate": (len(fiber) / tries) if tries else None,
             "pgap_zero_fraction": (
                 sum(1 for r in fiber if r["pgap"] == 0) / len(fiber) if fiber else None
@@ -414,15 +416,14 @@ def recompute_summary(config: ExperimentConfig, rows: list) -> dict:
             out["ks_x_walk_vs_fiber"] = None
         return out
     # lps_benchmark
-    edge = 2.0 * math.sqrt(5.0)
     max_overall = max((r["lambda_max"] for r in rows), default=None)
     max_even = max((r["lambda_max"] for r in rows if r["k"] % 2 == 0), default=None)
     return {
         "levels": len(rows),
-        "errors": errors,
+        "errors": 0,
         "max_even": max_even,
         "max_overall": max_overall,
-        "margin": (edge - max_overall) if max_overall is not None else None,
+        "margin": (LPS_EDGE - max_overall) if max_overall is not None else None,
     }
 
 
@@ -449,8 +450,7 @@ def _ordered_map(fn, start: int, stop: int, threads: int):
             yield from pending.popleft().result()
 
 
-def _compute_rows(config: ExperimentConfig, start: int, threads: int,
-                  orbit_start: GroupTuple | None):
+def _compute_rows(config: ExperimentConfig, start: int, threads: int):
     """Yield rows with index >= start, in index order."""
     total = row_count(config)
     if config.kind == "zero_one_scan":
@@ -463,10 +463,8 @@ def _compute_rows(config: ExperimentConfig, start: int, threads: int,
                         "lambda_max": level_gap_bounds(preset, i + 1).lambda_max}
                        for i in b], start, total, threads)
     elif config.kind == "orbit_invariance":
-        if orbit_start is None:
-            orbit_start = haar_tuple(np.random.default_rng(
-                derive_seed(config.seed, config.kind + ":start", 0)), config.n)
-        walk, states = _walk_states(config, orbit_start)
+        walk, states = _walk_states(config, haar_tuple(np.random.default_rng(
+            derive_seed(config.seed, config.kind + ":start", 0)), config.n))
         yield from _ordered_map(lambda b: _orbit_rows(config, walk, states, b),
                                 start, total, threads)
     else:  # level_set_walk
@@ -475,76 +473,72 @@ def _compute_rows(config: ExperimentConfig, start: int, threads: int,
         yield from _fiber_walk_rows(config)[max(0, start - config.samples):]
 
 
-def _read_partial(path: Path, config: ExperimentConfig):
-    """Validate a partial record file and return its parsed rows.
+def _parse_record(path: Path):
+    """Read a record file as (config, rows, summary line, end).
 
-    A torn last line, as a kill mid-write leaves it, is cut off.  Returns
-    None when not even the config line is complete: the record starts afresh.
+    ``end`` is the byte length of the complete lines: a torn last line, as a
+    kill mid-write leaves it, lies past it and is not parsed.  The config is
+    None when not even the config line is complete, and the summary line is
+    None until a run has finished.  Rows must run 0, 1, 2, ... with no gap.
     """
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
-    lines = data[:end].decode().splitlines()
+    lines = [json.loads(line) for line in data[:end].decode().splitlines()]
     if not lines:
-        return None
-    file_config = json.loads(lines[0])
-    if file_config != json.loads(json_line(config.to_dict())):
-        raise ValueError(f"config in {path} does not match the requested run")
-    rows = []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        if "summary" in obj:
-            raise ValueError(f"{path} already holds a completed run")
-        rows.append(obj)
+        return None, [], None, 0
+    config, rows = lines[0], lines[1:]
+    final = rows.pop() if rows and "summary" in rows[-1] else None
     for i, r in enumerate(rows):
         if r.get("index") != i:
-            raise ValueError(f"{path} has a gap at row {i}; cannot resume")
-    if end < len(data):
-        os.truncate(path, end)
-    return rows
+            raise ValueError(f"{path} has a gap at row {i}")
+    return config, rows, final, end
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
-                   stop_after_rows: int | None = None, resume: bool = False,
-                   orbit_start: GroupTuple | None = None) -> RunRecord:
+                   resume: bool = False) -> RunRecord:
     """Execute an experiment, optionally persisting and resuming.
 
-    ``stop_after_rows`` ends the run early with a partial record file (no
-    summary line); ``resume=True`` continues such a file.  Rows depend only
-    on (config, index), so resumed and uninterrupted runs agree row for row,
-    and any ``threads`` count produces identical records.
+    With ``out_dir`` every row is written and flushed as it is computed, so
+    a run killed part way leaves a partial record: the config line, its
+    first rows, and at most one torn line.  ``resume=True`` cuts the torn
+    line and continues from the first missing row.  Rows depend only on
+    (config, index), so resumed and uninterrupted runs agree row for row,
+    and any ``threads`` count (>= 1) produces identical records.
     """
     t0 = time.perf_counter()
-    threads = max(1, int(threads))
-    chash = config_hash(config)
-    total = row_count(config)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     path = None
     handle = None
     rows: list = []
     if out_dir is not None:
         path = Path(out_dir) / record_filename(config)
-        partial = _read_partial(path, config) if resume and path.exists() else None
-        if partial is not None:
-            rows = partial
-            handle = open(path, "a")
-        else:
+        file_config = None
+        if resume and path.exists():
+            file_config, rows, final, end = _parse_record(path)
+        if file_config is None:
             handle = open(path, "w")
             handle.write(json_line(config.to_dict()) + "\n")
             handle.flush()
+        else:
+            if file_config != json.loads(json_line(config.to_dict())):
+                raise ValueError(f"config in {path} does not match the requested run")
+            if final is not None:
+                raise ValueError(f"{path} already holds a completed run")
+            os.truncate(path, end)
+            handle = open(path, "a")
     elif resume:
         raise ValueError("resume requires out_dir")
 
     try:
-        for row in _compute_rows(config, len(rows), threads, orbit_start):
+        for row in _compute_rows(config, len(rows), threads):
             rows.append(row)
             if handle is not None:
                 handle.write(json_line(row) + "\n")
                 handle.flush()
-            if stop_after_rows is not None and len(rows) >= stop_after_rows:
-                break
-        complete = len(rows) == total
-        summary = recompute_summary(config, rows) if complete else None
+        summary = recompute_summary(config, rows)
         wall = time.perf_counter() - t0
-        if complete and handle is not None:
+        if handle is not None:
             handle.write(
                 json_line({
                     "summary": summary,
@@ -557,7 +551,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
             handle.close()
     return RunRecord(
         config=config,
-        config_hash=chash,
         rows=rows,
         summary=summary,
         wall_clock_s=wall,
@@ -567,26 +560,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
 
 
 def load_record(path) -> RunRecord:
-    """Parse a persisted record file back into a RunRecord."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    config = ExperimentConfig(**json.loads(lines[0]))
-    rows, summary, wall, version = [], None, 0.0, None
-    for line in lines[1:]:
-        obj = json.loads(line)
-        if "summary" in obj:
-            summary = obj["summary"]
-            wall = obj["wall_clock_s"]
-            version = obj["version"]
-        else:
-            rows.append(obj)
+    """Parse a record file back into a RunRecord; never writes to it.
+
+    A killed run's record loads with its complete rows and ``summary=None``.
+    """
+    config, rows, final, _ = _parse_record(Path(path))
+    if config is None:
+        raise ValueError(f"{path} has no complete config line")
+    final = final or {"summary": None, "wall_clock_s": 0.0, "version": None}
     return RunRecord(
-        config=config,
-        config_hash=config_hash(config),
+        config=ExperimentConfig(**config),
         rows=rows,
-        summary=summary,
-        wall_clock_s=wall,
-        version=version,
+        summary=final["summary"],
+        wall_clock_s=final["wall_clock_s"],
+        version=final["version"],
         path=str(path),
     )

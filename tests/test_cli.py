@@ -267,6 +267,18 @@ def test_argparse_errors_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_1_exit_2_before_the_record_opens(tmp_path, capsys,
+                                                        threads):
+    rc = cli.main(["scan", "--n", "2", "--cutoff", "2", "--samples", "3",
+                   "--seed", "1", "--out-dir", str(tmp_path), "--threads",
+                   threads])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "threads" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     def boom(t, cutoff):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

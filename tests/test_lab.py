@@ -50,6 +50,12 @@ RESUMABLE = {
 }
 
 
+def cut_record(path, rows: int) -> bytes:
+    """The bytes of the complete record at ``path`` up to its first ``rows``
+    rows: what a kill between two rows leaves."""
+    return b"".join(Path(path).read_bytes().splitlines(keepends=True)[:1 + rows])
+
+
 # ---------------------------------------------------------------------------
 # config and serialization plumbing
 
@@ -181,11 +187,9 @@ def test_resume_matches_uninterrupted(tmp_path, kind, threads):
     full_dir.mkdir()
     part_dir.mkdir()
     full = run_experiment(cfg, out_dir=full_dir)
-    # the stop falls inside the second block when there is one
+    # the cut falls inside the second block when there is one
     stop = lab._BLOCK + 3 if row_count(cfg) > lab._BLOCK + 3 else 3
-    partial = run_experiment(cfg, out_dir=part_dir, threads=threads,
-                             stop_after_rows=stop)
-    assert partial.summary is None and len(partial.rows) == stop
+    (part_dir / record_filename(cfg)).write_bytes(cut_record(full.path, stop))
     resumed = run_experiment(cfg, out_dir=part_dir, threads=threads,
                              resume=True)
     assert resumed.rows == full.rows
@@ -221,8 +225,8 @@ def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
             runs[threads] = scan(tmp_path / threads, threads)
         part_dir = tmp_path / "resumed"
         part_dir.mkdir()
-        irreps._rotation_basis.cache_clear()
-        run_experiment(cfg, out_dir=part_dir, threads=2, stop_after_rows=2)
+        (part_dir / record_filename(cfg)).write_bytes(
+            cut_record(tmp_path / "1" / record_filename(cfg), 2))
         resumed = scan(part_dir, "2", "--resume")
     finally:
         sys.setswitchinterval(interval)
@@ -315,15 +319,38 @@ def test_lps_failure_costs_only_its_block(tmp_path, monkeypatch):
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
-    run_experiment(scan_config(samples=5), out_dir=tmp_path,
-                   stop_after_rows=2)
+    rec = run_experiment(scan_config(samples=5), out_dir=tmp_path)
     other = scan_config(samples=5, cutoff_J=7)
     path = tmp_path / record_filename(other)
-    path.write_text(
-        (tmp_path / record_filename(scan_config(samples=5))).read_text()
-    )
+    path.write_bytes(cut_record(rec.path, 2))
     with pytest.raises(ValueError):
         run_experiment(other, out_dir=tmp_path, resume=True)
+
+
+def test_load_record_reads_a_record_cut_mid_row(tmp_path):
+    rec = run_experiment(scan_config(samples=5), out_dir=tmp_path)
+    torn_row = Path(rec.path).read_bytes().splitlines(keepends=True)[4]
+    data = cut_record(rec.path, 3) + torn_row[:len(torn_row) // 2]
+    Path(rec.path).write_bytes(data)
+    loaded = load_record(rec.path)
+    assert loaded.rows == rec.rows[:3] and loaded.summary is None
+    assert loaded.config == rec.config
+    assert Path(rec.path).read_bytes() == data  # loading never writes
+
+
+def test_index_gap_is_refused_by_load_and_resume(tmp_path, capsys):
+    cfg = scan_config(samples=5)
+    rec = run_experiment(cfg, out_dir=tmp_path)
+    lines = Path(rec.path).read_bytes().splitlines(keepends=True)
+    data = b"".join(lines[:2] + lines[3:4])  # config, rows 0 and 2
+    Path(rec.path).write_bytes(data)
+    with pytest.raises(ValueError, match="gap at row 1"):
+        load_record(rec.path)
+    argv = ["scan", "--n", "2", "--cutoff", "6", "--samples", "5", "--seed",
+            "7", "--out-dir", str(tmp_path), "--resume"]
+    assert cli.main(argv) == 2
+    assert "gap at row 1" in capsys.readouterr().err
+    assert Path(rec.path).read_bytes() == data
 
 
 def test_row_digests_collide_for_conjugate_tuples():
@@ -372,9 +399,10 @@ def test_scan_commutator_trace_present_for_pairs():
 def test_orbit_identity_start_is_fixed():
     cfg = ExperimentConfig(kind="orbit_invariance", n=2, seed=5, cutoff_J=4,
                            walk_length=20)
-    start = GroupTuple([identity(), identity()])
-    rec = run_experiment(cfg, orbit_start=start)
-    for row in rec.rows:
+    walk, states = lab._walk_states(cfg, GroupTuple([identity(), identity()]))
+    rows = lab._orbit_rows(cfg, walk, states, range(cfg.walk_length))
+    assert len(rows) == cfg.walk_length
+    for row in rows:
         assert row["gap_proxy"] == 0.0
         assert row["pgap"] == 0
         assert row["commutator_trace"] == 2.0
