@@ -10,6 +10,9 @@ Subcommands map one-to-one onto experiment drivers and spectral one-shots:
     charvar   level_set_walk experiment
     lps       lps_benchmark experiment
 
+One command serves the four experiment kinds: each flag's destination is
+the ``ExperimentConfig`` field of the same name.
+
 Every command is a pure function of its flags: seeds are mandatory wherever
 randomness enters (no wall-clock seeding), rows are emitted in deterministic
 order whatever the worker count, and reruns produce byte-identical primary
@@ -100,17 +103,6 @@ def _resolve_tuple(args) -> GroupTuple:
     return haar_tuple(np.random.default_rng(args.seed), args.n)
 
 
-def _emit_summary(args, summary: dict):
-    line = json_line(summary)
-    if getattr(args, "out", None):
-        try:
-            Path(args.out).write_text(line + "\n")
-        except OSError as e:
-            raise OSError(f"cannot write summary to {args.out}: {e}") from e
-    else:
-        print(line, file=sys.stderr)
-
-
 def cmd_sample(args) -> int:
     if args.n < 2:
         raise CliError("--n must be >= 2")
@@ -139,7 +131,14 @@ def cmd_spectrum(args) -> int:
     }
     if args.lps:
         summary["margin"] = LPS_EDGE - report.lambda1_J
-    _emit_summary(args, summary)
+    line = json_line(summary)
+    if args.out:
+        try:
+            Path(args.out).write_text(line + "\n")
+        except OSError as e:
+            raise OSError(f"cannot write summary to {args.out}: {e}") from e
+    else:
+        print(line, file=sys.stderr)
     return EXIT_OK
 
 
@@ -164,7 +163,13 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _run_and_report(config: ExperimentConfig, args) -> int:
+# Parsed values that steer the run; every other one is a config field.
+RUN = {"command", "func", "out_dir", "threads", "resume"}
+
+
+def cmd_experiment(args) -> int:
+    config = ExperimentConfig(**{k: v for k, v in vars(args).items()
+                                 if k not in RUN})
     try:
         record = run_experiment(config, out_dir=args.out_dir,
                                 threads=args.threads, resume=args.resume)
@@ -178,44 +183,6 @@ def _run_and_report(config: ExperimentConfig, args) -> int:
     print(json_line({"summary": record.summary}))
     print(f"record: {record.path}", file=sys.stderr)
     return EXIT_OK
-
-
-def cmd_scan(args) -> int:
-    config = ExperimentConfig(kind="zero_one_scan", n=args.n, seed=args.seed,
-                              cutoff_J=args.cutoff, samples=args.samples,
-                              threshold=args.threshold)
-    return _run_and_report(config, args)
-
-
-def cmd_orbit(args) -> int:
-    config = ExperimentConfig(kind="orbit_invariance", n=args.n,
-                              seed=args.seed, cutoff_J=args.cutoff,
-                              walk_length=args.walk,
-                              threshold=args.threshold)
-    return _run_and_report(config, args)
-
-
-def cmd_charvar(args) -> int:
-    config = ExperimentConfig(kind="level_set_walk", n=2, seed=args.seed,
-                              cutoff_J=args.cutoff, samples=args.samples,
-                              walk_length=args.walk, threshold=args.threshold,
-                              target=args.target, tol=args.tol,
-                              max_tries=args.max_tries)
-    return _run_and_report(config, args)
-
-
-def cmd_lps(args) -> int:
-    config = ExperimentConfig(kind="lps_benchmark", n=3, seed=args.seed,
-                              cutoff_J=args.cutoff)
-    return _run_and_report(config, args)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("GAPLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
@@ -269,60 +236,67 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=300,
                    help="int: optimizer iterations per restart")
 
-    def add_experiment(name, fn, help_text):
-        p = add(name, fn, help_text)
+    def add_experiment(name, kind, help_text):
+        p = add(name, cmd_experiment, help_text)
+        p.set_defaults(kind=kind)
         p.add_argument("--seed", type=int, required=True,
                        help="int: root seed (mandatory; no wall-clock seeding)")
         p.add_argument("--out-dir", default=".",
                        help="path: directory for the record file")
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=int,
+                       default=os.environ.get("GAPLAB_THREADS") or "1",
                        help="int: worker threads (env GAPLAB_THREADS)")
         p.add_argument("--resume", action="store_true",
                        help="continue a partial record file")
         return p
 
-    p = add_experiment("scan", cmd_scan,
+    p = add_experiment("scan", "zero_one_scan",
                        "Zero-one scan: Haar tuples, cutoff spectra, gap "
                        "indicator distribution.")
     p.add_argument("--n", type=int, required=True, help="int: tuple rank")
-    p.add_argument("--cutoff", type=int, default=40,
-                   help="int: level cutoff J")
+    p.add_argument("--cutoff", type=int, default=40, dest="cutoff_J",
+                   metavar="CUTOFF", help="int: level cutoff J")
     p.add_argument("--samples", type=int, required=True,
                    help="int: number of Haar tuples")
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="float: gap indicator threshold")
 
-    p = add_experiment("orbit", cmd_orbit,
+    p = add_experiment("orbit", "orbit_invariance",
                        "Random Nielsen walk from one Haar tuple; invariance "
                        "and stability checks.")
     p.add_argument("--n", type=int, required=True, help="int: tuple rank")
-    p.add_argument("--walk", type=int, required=True,
-                   help="int: number of moves")
-    p.add_argument("--cutoff", type=int, default=6, help="int: level cutoff J")
+    p.add_argument("--walk", type=int, required=True, dest="walk_length",
+                   metavar="WALK", help="int: number of moves")
+    p.add_argument("--cutoff", type=int, default=6, dest="cutoff_J",
+                   metavar="CUTOFF", help="int: level cutoff J")
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="float: gap indicator threshold")
 
-    p = add_experiment("charvar", cmd_charvar,
+    p = add_experiment("charvar", "level_set_walk",
                        "Pairs on one commutator-trace fiber plus a fiber "
                        "walk (n=2).")
+    p.set_defaults(n=2)
     p.add_argument("--target", type=float, required=True,
                    help="float: fiber trace target in (-2, 2)")
     p.add_argument("--tol", type=float, required=True,
                    help="float: rejection band half-width")
     p.add_argument("--samples", type=int, required=True,
                    help="int: fiber samples")
-    p.add_argument("--walk", type=int, default=1000,
-                   help="int: fiber walk steps")
-    p.add_argument("--cutoff", type=int, default=6, help="int: level cutoff J")
+    p.add_argument("--walk", type=int, default=1000, dest="walk_length",
+                   metavar="WALK", help="int: fiber walk steps")
+    p.add_argument("--cutoff", type=int, default=6, dest="cutoff_J",
+                   metavar="CUTOFF", help="int: level cutoff J")
     p.add_argument("--threshold", type=float, default=0.1,
                    help="float: gap indicator threshold")
     p.add_argument("--max-tries", type=int, default=1_000_000,
                    help="int: rejection budget per sample")
 
-    p = add_experiment("lps", cmd_lps,
+    p = add_experiment("lps", "lps_benchmark",
                        "Per-level spectra of the (1+2i)/sqrt5-type preset "
                        "against the 2*sqrt(5) edge.")
-    p.add_argument("--cutoff", type=int, default=24, help="int: level cutoff J")
+    p.set_defaults(n=3)
+    p.add_argument("--cutoff", type=int, default=24, dest="cutoff_J",
+                   metavar="CUTOFF", help="int: level cutoff J")
 
     return parser
 

@@ -183,10 +183,6 @@ class GroupTuple:
                 raise TypeError("tuple entries must be GroupElement values")
         self.elements = elems
 
-    @property
-    def n(self) -> int:
-        return len(self.elements)
-
     def __len__(self):
         return len(self.elements)
 
@@ -342,12 +338,6 @@ class Word:
             if a == -b:
                 raise ValueError(f"word {letters} is not reduced")
         self.letters = letters
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)))
-
-    def max_index(self) -> int:
-        return max((abs(l) for l in self.letters), default=0)
 
     def __len__(self):
         return len(self.letters)

@@ -489,6 +489,9 @@ def _parse_record(path: Path):
     config, rows = lines[0], lines[1:]
     final = rows.pop() if rows and "summary" in rows[-1] else None
     for i, r in enumerate(rows):
+        if "summary" in r:
+            raise ValueError(f"{path} has a summary line before its end, "
+                             f"at row {i}")
         if r.get("index") != i:
             raise ValueError(f"{path} has a gap at row {i}")
     return config, rows, final, end

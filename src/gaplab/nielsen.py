@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupTuple, Word, free_reduce, inv, mul
+from .group import GroupTuple, Word, inv, mul
 
 KINDS = ("swap", "invert", "rmul", "lmul")
 

@@ -227,13 +227,13 @@ def level_gap_bounds(t: GroupTuple, level) -> LevelGap:
 
 
 def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
-                        iters: int = 300, seed: int = 0) -> LevelGap:
+                        iters: int = 300) -> LevelGap:
     """Estimate the min-max gap min_{|v|=1} max_i ||(pi_k(t_i) - I) v|| by
     projected subgradient descent with random restarts.
 
     One start is the top eigenvector of the averaging operator, which already
     satisfies f(v) <= upper; every unit vector satisfies f(v) >= lower, so the
-    estimate always lands inside the sandwich.  Deterministic for fixed seed.
+    estimate always lands inside the sandwich.  Deterministic.
     """
     level = as_level(level)
     if level.k < 1:
@@ -252,7 +252,7 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
     def f_norms(v):
         return np.linalg.norm(bs @ v, axis=1)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [np.linalg.eigh(a.matrix)[1][:, -1]]
     for _ in range(restarts - 1):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)

@@ -267,16 +267,64 @@ def test_argparse_errors_exit_2():
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_below_1_exit_2_before_the_record_opens(tmp_path, capsys,
-                                                        threads):
-    rc = cli.main(["scan", "--n", "2", "--cutoff", "2", "--samples", "3",
-                   "--seed", "1", "--out-dir", str(tmp_path), "--threads",
-                   threads])
-    out, err = capsys.readouterr()
-    assert rc == 2 and out == ""
-    assert "threads" in err
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_1_exit_2_before_the_record_opens(tmp_path, threads):
+    argv = ["scan", "--n", "2", "--cutoff", "2", "--samples", "3", "--seed",
+            "1", "--out-dir", str(tmp_path)]
+    # the environment fallback is converted and checked like the flag
+    for r in (run_cli(*argv, "--threads", threads),
+              run_cli(*argv, env_extra={"GAPLAB_THREADS": threads})):
+        assert r.returncode == 2 and r.stdout == ""
+        assert "threads" in r.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_unset_or_empty_gaplab_threads_means_one(monkeypatch):
+    argv = ["lps", "--seed", "0"]
+    monkeypatch.delenv("GAPLAB_THREADS", raising=False)
+    assert cli.build_parser().parse_args(argv).threads == 1
+    monkeypatch.setenv("GAPLAB_THREADS", "")
+    assert cli.build_parser().parse_args(argv).threads == 1
+
+
+# Every kind-specific flag away from its default, and the config each run
+# must record, written out field by field.
+EXPERIMENT_FLAGS = {
+    "scan": (["--n", "3", "--cutoff", "3", "--samples", "2",
+              "--threshold", "0.01"],
+             ExperimentConfig(kind="zero_one_scan", n=3, seed=4, cutoff_J=3,
+                              samples=2, walk_length=0, threshold=0.01,
+                              target=0.0, tol=0.05, max_tries=1_000_000)),
+    "orbit": (["--n", "3", "--walk", "5", "--cutoff", "2",
+               "--threshold", "0.02"],
+              ExperimentConfig(kind="orbit_invariance", n=3, seed=4,
+                               cutoff_J=2, samples=0, walk_length=5,
+                               threshold=0.02, target=0.0, tol=0.05,
+                               max_tries=1_000_000)),
+    "charvar": (["--target", "0.5", "--tol", "0.2", "--samples", "2",
+                 "--walk", "3", "--cutoff", "2", "--threshold", "0.2",
+                 "--max-tries", "5000"],
+                ExperimentConfig(kind="level_set_walk", n=2, seed=4,
+                                 cutoff_J=2, samples=2, walk_length=3,
+                                 threshold=0.2, target=0.5, tol=0.2,
+                                 max_tries=5000)),
+    "lps": (["--cutoff", "3"],
+            ExperimentConfig(kind="lps_benchmark", n=3, seed=4, cutoff_J=3,
+                             samples=0, walk_length=0, threshold=1e-3,
+                             target=0.0, tol=0.05, max_tries=1_000_000)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENT_FLAGS))
+def test_every_experiment_flag_reaches_its_config_field(tmp_path, capsys,
+                                                        command):
+    flags, expected = EXPERIMENT_FLAGS[command]
+    rc = cli.main([command, *flags, "--seed", "4", "--out-dir",
+                   str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [record_filename(expected)]
+    config_line = (tmp_path / record_filename(expected)).read_text()
+    assert config_line.splitlines()[0] == lab.json_line(expected.to_dict())
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):

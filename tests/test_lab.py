@@ -353,6 +353,19 @@ def test_index_gap_is_refused_by_load_and_resume(tmp_path, capsys):
     assert Path(rec.path).read_bytes() == data
 
 
+def test_summary_before_the_end_is_refused_by_load_and_resume(tmp_path):
+    cfg = scan_config(samples=2)
+    rec = run_experiment(cfg, out_dir=tmp_path)
+    lines = Path(rec.path).read_bytes().splitlines(keepends=True)
+    data = b"".join(lines + lines[1:2])  # row 0 again after the summary
+    Path(rec.path).write_bytes(data)
+    with pytest.raises(ValueError, match="summary line before its end"):
+        load_record(rec.path)
+    with pytest.raises(ValueError, match="summary line before its end"):
+        run_experiment(cfg, out_dir=tmp_path, resume=True)
+    assert Path(rec.path).read_bytes() == data
+
+
 def test_row_digests_collide_for_conjugate_tuples():
     rng = np.random.default_rng(0)
     t = haar_tuple(rng, 2)
