@@ -45,7 +45,6 @@ from .spectral import (
     pgap_indicator,
 )
 from .nielsen import (
-    MoveSequence,
     NielsenMove,
     apply_move,
     apply_sequence,
@@ -57,11 +56,10 @@ from .nielsen import (
 from .charvar import (
     CharPoint,
     LevelSetSamplingError,
-    class_of,
     commutator,
     commutator_trace,
     fricke,
     nielsen_on_traces,
-    sample_level_set,
+    sample_level_set_counted,
     trace_coords,
 )

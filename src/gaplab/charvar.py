@@ -11,11 +11,12 @@ through them by the Fricke identity
 
 and is preserved by every Nielsen move (moves send the commutator to a
 conjugate or an inverse, and SU(2) traces see neither).  Its level sets are
-therefore invariant fibers of the move dynamics; :func:`sample_level_set`
-draws pairs on a fiber by Haar rejection.
+therefore invariant fibers of the move dynamics;
+:func:`sample_level_set_counted` draws pairs on a fiber by Haar rejection.
 
 Conjugacy classes themselves are parametrized by the trace in [-2, 2] (the
-torus coordinate modulo the Weyl flip), so the class map is just a clamp.
+torus coordinate modulo the Weyl flip), so the class of a trace v is just
+``ConjClass(v)``, which clamps roundoff.
 """
 
 from __future__ import annotations
@@ -25,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ConjClass, GroupElement, GroupTuple, haar_tuple, inv, mul, trace
+from .group import GroupElement, GroupTuple, haar_tuple, inv, mul, trace
 from .nielsen import NielsenMove
 
 
 class LevelSetSamplingError(RuntimeError):
-    """Rejection sampling exhausted its budget; carries the observed rate."""
+    """Rejection sampling exhausted its budget of ``tries`` draws."""
 
-    def __init__(self, message, tries, accepted=0):
+    def __init__(self, message, tries):
         super().__init__(message)
         self.tries = tries
-        self.accepted = accepted
-        self.acceptance_rate = accepted / tries if tries else 0.0
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class CharPoint:
         for c in (self.x, self.y, self.z):
             if not math.isfinite(c) or abs(c) > 2.0 + 1e-9:
                 raise ValueError(f"trace coordinate {c!r} outside [-2, 2]")
-        kappa = self.x ** 2 + self.y ** 2 + self.z ** 2 - self.x * self.y * self.z - 2.0
-        if abs(kappa) > 2.0 + 1e-6:
+        if abs(fricke(self)) > 2.0 + 1e-6:
             raise ValueError(f"point {(self.x, self.y, self.z)} is not realizable")
 
 
@@ -84,11 +82,6 @@ def fricke(p: CharPoint) -> float:
     return p.x ** 2 + p.y ** 2 + p.z ** 2 - p.x * p.y * p.z - 2.0
 
 
-def class_of(v: float) -> ConjClass:
-    """The conjugacy class with trace v; clamps roundoff, rejects beyond it."""
-    return ConjClass(v)
-
-
 def nielsen_on_traces(m: NielsenMove, p: CharPoint) -> CharPoint:
     """The polynomial map induced on (x, y, z) by a rank-2 move.
 
@@ -108,21 +101,15 @@ def nielsen_on_traces(m: NielsenMove, p: CharPoint) -> CharPoint:
     return CharPoint(x, z, x * z - y)
 
 
-def sample_level_set(target: float, tol: float, rng: np.random.Generator,
-                     max_tries: int = 1_000_000) -> GroupTuple:
-    """A Haar pair conditioned on |tr[t1, t2] - target| <= tol, by rejection.
+def sample_level_set_counted(target: float, tol: float, rng: np.random.Generator,
+                             max_tries: int = 1_000_000) -> tuple[GroupTuple, int]:
+    """A Haar pair conditioned on |tr[t1, t2] - target| <= tol, by rejection,
+    and the number of tries it took.
 
     As tol shrinks the accepted distribution converges to the level-set
-    measure of the fiber decomposition.  Exhausting the budget raises with
-    the observed acceptance rate.
+    measure of the fiber decomposition.  Exhausting the budget raises
+    :class:`LevelSetSamplingError`.
     """
-    t, _ = sample_level_set_counted(target, tol, rng, max_tries)
-    return t
-
-
-def sample_level_set_counted(target: float, tol: float, rng: np.random.Generator,
-                             max_tries: int = 1_000_000):
-    """Like :func:`sample_level_set` but also returns the number of tries."""
     if not (-2.0 < target < 2.0):
         raise ValueError("target must lie in the open interval (-2, 2)")
     if tol <= 0.0:

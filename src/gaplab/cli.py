@@ -20,7 +20,9 @@ output.  CSV rows go to stdout; summaries are single JSON lines on stderr or
 in ``--out``; record files follow the lab's JSONL layout.
 
 Exit codes: 0 success, 2 input/config error, 3 numerical failure, 4 I/O
-failure.
+failure.  Input errors are plain ``ValueError``s, from the flag checks here
+and from the library alike; ``main`` maps the numerical ``ValueError``
+subclasses to 3 before the rest map to 2.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-class CliError(Exception):
-    """Input or configuration problem; maps to exit code 2."""
-
-
 def read_tuple_file(path) -> GroupTuple:
     """Parse a tuple file: one generator per line, four fields w x y z.
 
@@ -65,7 +63,7 @@ def read_tuple_file(path) -> GroupTuple:
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise CliError(f"cannot read tuple file {path}: {e}") from e
+        raise ValueError(f"cannot read tuple file {path}: {e}") from e
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -73,18 +71,18 @@ def read_tuple_file(path) -> GroupTuple:
             continue
         parts = body.split()
         if len(parts) != 4:
-            raise CliError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
             w, x, y, z = (float(p) for p in parts)
         except ValueError as e:
-            raise CliError(f"{path}:{lineno}: {e}") from e
+            raise ValueError(f"{path}:{lineno}: {e}") from e
         norm = (w * w + x * x + y * y + z * z) ** 0.5
-        if abs(norm - 1.0) > 1e-9:
-            raise CliError(f"{path}:{lineno}: row is not a unit quaternion "
-                           f"(norm {norm:.12g})")
+        if not abs(norm - 1.0) <= 1e-9:  # NaN-safe
+            raise ValueError(f"{path}:{lineno}: row is not a unit quaternion "
+                             f"(norm {norm:.12g})")
         rows.append(GroupElement(w, x, y, z))
     if len(rows) < 2:
-        raise CliError(f"{path}: a tuple file needs at least 2 rows")
+        raise ValueError(f"{path}: a tuple file needs at least 2 rows")
     return GroupTuple(rows)
 
 
@@ -92,22 +90,22 @@ def _resolve_tuple(args) -> GroupTuple:
     sources = [args.tuple_file is not None, args.seed is not None,
                getattr(args, "lps", False)]
     if sum(sources) != 1:
-        raise CliError("choose exactly one tuple source: --tuple-file, --seed, "
-                       "or --lps")
+        raise ValueError("choose exactly one tuple source: --tuple-file, "
+                         "--seed, or --lps")
     if getattr(args, "lps", False):
         return lps_preset()
     if args.tuple_file is not None:
         return read_tuple_file(args.tuple_file)
     if args.n is None:
-        raise CliError("--n is required with --seed")
+        raise ValueError("--n is required with --seed")
     return haar_tuple(np.random.default_rng(args.seed), args.n)
 
 
 def cmd_sample(args) -> int:
     if args.n < 2:
-        raise CliError("--n must be >= 2")
+        raise ValueError("--n must be >= 2")
     if args.count < 1:
-        raise CliError("--count must be >= 1")
+        raise ValueError("--count must be >= 1")
     rng = np.random.default_rng(args.seed)
     blocks = []
     for _ in range(args.count):
@@ -145,11 +143,12 @@ def cmd_spectrum(args) -> int:
 def cmd_gap(args) -> int:
     t = _resolve_tuple(args)
     if (args.level is None) == (args.cutoff is None):
-        raise CliError("choose exactly one of --level and --cutoff")
-    if args.cutoff is not None and not 1 <= args.cutoff <= MAX_LEVEL:
-        raise CliError(f"--cutoff must lie in [1, {MAX_LEVEL}]")
-    levels = [args.level] if args.level is not None else list(
-        range(1, args.cutoff + 1))
+        raise ValueError("choose exactly one of --level and --cutoff")
+    flag, value = (("--level", args.level) if args.level is not None
+                   else ("--cutoff", args.cutoff))
+    if not 1 <= value <= MAX_LEVEL:
+        raise ValueError(f"{flag} must lie in [1, {MAX_LEVEL}]")
+    levels = [value] if args.level is not None else list(range(1, value + 1))
     for k in levels:
         if args.minmax:
             lg = minmax_gap_estimate(t, k, restarts=args.restarts,
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     except (LevelSetSamplingError, np.linalg.LinAlgError, NonFiniteError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CliError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as e:

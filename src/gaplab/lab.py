@@ -274,7 +274,7 @@ def _walk_states(config: ExperimentConfig, start: GroupTuple):
 
 def _orbit_row(config: ExperimentConfig, i: int, move, t_after: GroupTuple,
                before: dict, after: dict) -> dict:
-    L = word_length_bound(move, config.n)
+    L = word_length_bound((move,), config.n)
     row = {
         "index": i,
         "move": str(move),
@@ -297,7 +297,7 @@ def _orbit_rows(config: ExperimentConfig, walk, states: list,
     # row i pairs the spectra of states i and i + 1, so adjacent blocks both
     # compute the state they share
     spectra = _block_spectra(states[block.start:block.stop + 1], config)
-    return [_orbit_row(config, i, walk.moves[i], states[i + 1], before, after)
+    return [_orbit_row(config, i, walk[i], states[i + 1], before, after)
             for i, before, after in zip(block, spectra, spectra[1:])]
 
 

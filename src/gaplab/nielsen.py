@@ -8,9 +8,10 @@ The four elementary move kinds
     lmul(i, j)    t_i -> t_j t_i
 
 generate the automorphism group of F_n.  Applied to tuples in SU(2)^n they
-are measure-preserving bijections; on the free group side each move (or move
-sequence) is a substitution sending the basis to new reduced words, computed
-by :func:`move_to_basis_words` with eager free reduction.
+are measure-preserving bijections.  A move sequence is a plain tuple of
+:class:`NielsenMove`, applied left to right; on the free group side it is a
+substitution sending the basis to new reduced words, computed by
+:func:`move_to_basis_words` with eager free reduction.
 
 :func:`word_length_bound` computes the constant of the generating-set
 comparison: the longest reduced word needed to express an old generator in
@@ -70,25 +71,6 @@ class NielsenMove:
         return f"{self.kind}({self.i},{self.j})"
 
 
-@dataclass(frozen=True)
-class MoveSequence:
-    """An ordered sequence of Nielsen moves, applied left to right."""
-
-    moves: tuple[NielsenMove, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-
-    def __len__(self):
-        return len(self.moves)
-
-    def __iter__(self):
-        return iter(self.moves)
-
-    def __add__(self, other: "MoveSequence") -> "MoveSequence":
-        return MoveSequence(self.moves + other.moves)
-
-
 def apply_move(m: NielsenMove, t: GroupTuple) -> GroupTuple:
     """The action of one move on a tuple; all other entries unchanged."""
     m.validate_for(len(t))
@@ -106,7 +88,7 @@ def apply_move(m: NielsenMove, t: GroupTuple) -> GroupTuple:
     return GroupTuple(elems)
 
 
-def apply_sequence(s: MoveSequence, t: GroupTuple) -> GroupTuple:
+def apply_sequence(s: tuple[NielsenMove, ...], t: GroupTuple) -> GroupTuple:
     for m in s:
         t = apply_move(m, t)
     return t
@@ -147,15 +129,14 @@ def _expand(word, subst) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def move_to_basis_words(m, n: int) -> list[Word]:
-    """Images of the basis (a_1, ..., a_n) under a move or move sequence,
-    as reduced words: the moved tuple's entries are exactly these words
-    evaluated on the original tuple."""
+def move_to_basis_words(s: tuple[NielsenMove, ...], n: int) -> list[Word]:
+    """Images of the basis (a_1, ..., a_n) under a move sequence, as reduced
+    words: the moved tuple's entries are exactly these words evaluated on the
+    original tuple."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    moves = m.moves if isinstance(m, MoveSequence) else (m,)
     subst = _identity_substitution(n)
-    for mv in moves:
+    for mv in s:
         mv.validate_for(n)
         basic = _basic_substitution(mv, n)
         subst = [_expand(w, subst) for w in basic]
@@ -171,16 +152,12 @@ def _inverse_moves(m: NielsenMove) -> tuple[NielsenMove, ...]:
     return (flip, m, flip)
 
 
-def inverse_sequence(s) -> MoveSequence:
+def inverse_sequence(s: tuple[NielsenMove, ...]) -> tuple[NielsenMove, ...]:
     """A move sequence realizing the inverse automorphism."""
-    moves = s.moves if isinstance(s, MoveSequence) else (s,)
-    out: list[NielsenMove] = []
-    for m in reversed(moves):
-        out.extend(_inverse_moves(m))
-    return MoveSequence(tuple(out))
+    return tuple(mv for m in reversed(s) for mv in _inverse_moves(m))
 
 
-def word_length_bound(s, n: int) -> int:
+def word_length_bound(s: tuple[NielsenMove, ...], n: int) -> int:
     """The generating-set comparison constant L: the longest reduced word
     expressing an old generator in the new generators (max image length of
     the inverse substitution).  Submultiplicative under concatenation."""
@@ -203,10 +180,11 @@ def move_alphabet(n: int) -> list[NielsenMove]:
     return moves
 
 
-def random_walk(rng: np.random.Generator, n: int, length: int) -> MoveSequence:
+def random_walk(rng: np.random.Generator, n: int,
+                length: int) -> tuple[NielsenMove, ...]:
     """length i.i.d. uniform draws from the move alphabet."""
     if length < 0:
         raise ValueError("length must be >= 0")
     alphabet = move_alphabet(n)
     picks = rng.integers(0, len(alphabet), size=length)
-    return MoveSequence(tuple(alphabet[i] for i in picks))
+    return tuple(alphabet[i] for i in picks)

@@ -63,6 +63,16 @@ def test_sample_output_is_a_valid_tuple_file(tmp_path):
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("n, count, message", [
+    ("1", "1", "--n must be >= 2"), ("2", "0", "--count must be >= 1"),
+], ids=["n_1", "count_0"])
+def test_sample_rejects_a_rank_below_2_or_no_tuples(capsys, n, count, message):
+    assert cli.main(["sample", "--n", n, "--count", count, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -101,6 +111,60 @@ def test_spectrum_malformed_tuple_file(tmp_path):
     tf.write_text("2 0 0 0\n1 0 0 0\n")  # not unit norm
     r = run_cli("spectrum", "--cutoff", "2", "--tuple-file", str(tf))
     assert r.returncode == 2
+
+
+# (file content or None for a missing file, what stderr must name); the path
+# is filled in for {path}
+TUPLE_FILE_ERRORS = {
+    "unreadable": (None, "cannot read tuple file {path}"),
+    "non_numeric": ("1 0 0 0\n1 0 zero 0\n", "{path}:2:"),
+    "nan_row": ("1 0 0 0\nnan 0 0 0\n", "{path}:2:"),
+    "single_row": ("1 0 0 0\n", "{path}: a tuple file needs at least 2 rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TUPLE_FILE_ERRORS))
+def test_tuple_file_errors_exit_2_and_name_the_file(tmp_path, capsys, case):
+    content, names = TUPLE_FILE_ERRORS[case]
+    tf = tmp_path / "t.tuple"
+    if content is not None:
+        tf.write_text(content)
+    assert cli.main(["spectrum", "--cutoff", "2", "--tuple-file", str(tf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert names.format(path=tf) in err
+
+
+def test_tuple_file_comments_and_blank_lines_change_nothing(tmp_path, capsys):
+    assert cli.main(["sample", "--n", "3", "--count", "1", "--seed", "6"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    clean = tmp_path / "clean.tuple"
+    clean.write_text("\n".join(rows) + "\n")
+    noisy = tmp_path / "noisy.tuple"
+    noisy.write_text(f"# a comment line\n\n{rows[0]}  # trailing comment\n"
+                     f"   \n{rows[1]}\n#\n{rows[2]}\n\n")
+    outputs = []
+    for tf in (clean, noisy):
+        assert cli.main(["spectrum", "--cutoff", "3", "--tuple-file",
+                         str(tf)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].out.splitlines()) == 3
+
+
+def test_spectrum_seed_without_n_exits_2(capsys):
+    assert cli.main(["spectrum", "--cutoff", "2", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--n is required with --seed" in err
+
+
+def test_spectrum_out_into_a_missing_directory_exits_4(tmp_path, capsys):
+    target = tmp_path / "missing" / "summary.json"
+    assert cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", "2",
+                     "--out", str(target)]) == 4
+    assert str(target) in capsys.readouterr().err
+    assert not target.parent.exists()
 
 
 def test_spectrum_requires_one_source():
@@ -168,6 +232,14 @@ def test_gap_minmax_rejects_bad_optimizer_flags(capsys):
         assert flag[2:] in err
     assert cli.main(argv + ["--iters", "0", "--restarts", "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("level", ["0", str(MAX_LEVEL + 1)])
+def test_gap_level_outside_1_to_max_exits_2_before_any_row(capsys, level):
+    assert cli.main(["gap", "--n", "2", "--seed", "1", "--level", level]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--level must lie in [1, {MAX_LEVEL}]" in err
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +319,28 @@ def test_lps_subcommand(tmp_path):
     summary = json.loads(r.stdout)["summary"]
     assert summary["margin"] >= -1e-8
     assert summary["levels"] == 12
+
+
+def test_lps_cutoff_1_has_no_even_level(tmp_path, capsys):
+    assert cli.main(["lps", "--cutoff", "1", "--seed", "0", "--out-dir",
+                     str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert '"max_even":null' in out
+    assert json.loads(out)["summary"]["levels"] == 1
+
+
+def test_resume_of_a_completed_record_exits_2(tmp_path, capsys):
+    argv = ["scan", "--n", "2", "--cutoff", "2", "--samples", "2", "--seed",
+            "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    path = next(tmp_path.iterdir())
+    data = path.read_bytes()
+    assert cli.main(argv + ["--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "already holds a completed run" in err
+    assert path.read_bytes() == data
 
 
 def test_gaplab_threads_env_fallback(tmp_path):

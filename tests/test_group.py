@@ -255,6 +255,37 @@ def test_tuple_digest_collides_on_conjugates():
         assert tuple_digest(t) == tuple_digest(conjugate_tuple(h, t))
 
 
+def _on_axis(a, u):
+    """The rotation exp(a (u_x i + u_y j + u_z k)) about the unit axis u."""
+    s = math.sin(a)
+    return GroupElement(math.cos(a), s * u[0], s * u[1], s * u[2])
+
+
+# the degenerate branches of canonical_form: a pivot already on the torus
+# but with axis -e3 takes the half-turn, and a tuple on one axis has no
+# second entry to fix the residual torus freedom
+DEGENERATE_TUPLES = {
+    "pivot_axis_minus_e3": GroupTuple([
+        _on_axis(0.7, (0.0, 0.0, -1.0)),
+        _on_axis(1.3, (0.6, 0.0, 0.8)),
+    ]),
+    "one_shared_axis": GroupTuple([
+        _on_axis(a, (2 / 7, -3 / 7, 6 / 7)) for a in (0.4, -1.1, 2.5)
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_TUPLES))
+def test_tuple_digest_constant_on_orbits_of_degenerate_tuples(name):
+    t = DEGENERATE_TUPLES[name]
+    c = canonical_form(t)
+    assert c[0].x == 0.0 and c[0].y == 0.0 and c[0].z > 0.0
+    rng = np.random.default_rng(16)
+    digest = tuple_digest(t)
+    for _ in range(50):
+        assert tuple_digest(conjugate_tuple(haar_sample(rng), t)) == digest
+
+
 # ---------------------------------------------------------------------------
 # words
 

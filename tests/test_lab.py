@@ -327,6 +327,30 @@ def test_resume_rejects_mismatched_config(tmp_path):
         run_experiment(other, out_dir=tmp_path, resume=True)
 
 
+def test_resume_of_a_completed_record_is_refused(tmp_path):
+    cfg = scan_config(samples=2)
+    rec = run_experiment(cfg, out_dir=tmp_path)
+    data = Path(rec.path).read_bytes()
+    with pytest.raises(ValueError, match="already holds a completed run"):
+        run_experiment(cfg, out_dir=tmp_path, resume=True)
+    assert Path(rec.path).read_bytes() == data
+
+
+def test_resume_without_out_dir_is_refused():
+    with pytest.raises(ValueError, match="resume requires out_dir"):
+        run_experiment(scan_config(samples=2), resume=True)
+
+
+@pytest.mark.parametrize("data", [b"", b'{"kind": "zero_one_scan"'],
+                         ids=["empty", "torn_config_line"])
+def test_load_record_without_a_complete_config_line_is_refused(tmp_path,
+                                                               data):
+    path = tmp_path / "record.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="no complete config line"):
+        load_record(path)
+
+
 def test_load_record_reads_a_record_cut_mid_row(tmp_path):
     rec = run_experiment(scan_config(samples=5), out_dir=tmp_path)
     torn_row = Path(rec.path).read_bytes().splitlines(keepends=True)[4]

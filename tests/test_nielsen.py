@@ -15,7 +15,6 @@ from gaplab.group import (
 )
 from gaplab.irreps import irrep_matrix
 from gaplab.nielsen import (
-    MoveSequence,
     NielsenMove,
     WordLengthError,
     apply_move,
@@ -70,11 +69,11 @@ def test_rmul_matches_matrix_product():
 
 
 def test_basis_words_of_single_moves():
-    words = move_to_basis_words(NielsenMove("rmul", 1, 2), 2)
+    words = move_to_basis_words((NielsenMove("rmul", 1, 2),), 2)
     assert [list(w) for w in words] == [[1, 2], [2]]
-    words = move_to_basis_words(NielsenMove("lmul", 2, 1), 3)
+    words = move_to_basis_words((NielsenMove("lmul", 2, 1),), 3)
     assert [list(w) for w in words] == [[1], [1, 2], [3]]
-    seq = MoveSequence((NielsenMove("invert", 1), NielsenMove("invert", 1)))
+    seq = (NielsenMove("invert", 1), NielsenMove("invert", 1))
     assert [list(w) for w in move_to_basis_words(seq, 2)] == [[1], [2]]
 
 
@@ -101,10 +100,10 @@ def test_inverse_sequence_inverts():
 
 
 def test_word_length_bound_examples():
-    assert word_length_bound(MoveSequence(()), 2) == 1
-    assert word_length_bound(NielsenMove("rmul", 1, 2), 2) == 2
-    assert word_length_bound(NielsenMove("swap", 1, 2), 2) == 1
-    assert word_length_bound(NielsenMove("invert", 2), 2) == 1
+    assert word_length_bound((), 2) == 1
+    assert word_length_bound((NielsenMove("rmul", 1, 2),), 2) == 2
+    assert word_length_bound((NielsenMove("swap", 1, 2),), 2) == 1
+    assert word_length_bound((NielsenMove("invert", 2),), 2) == 1
 
 
 def test_word_length_bound_submultiplicative():
@@ -123,7 +122,7 @@ def test_word_budget_aborts_pathological_sequences():
         NielsenMove("rmul", 1 + s % 2, 2 - s % 2) for s in range(60)
     )
     with pytest.raises(WordLengthError):
-        move_to_basis_words(MoveSequence(moves), 2)
+        move_to_basis_words(moves, 2)
 
 
 def test_random_walk_deterministic_and_sized():
