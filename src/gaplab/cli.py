@@ -28,6 +28,7 @@ subclasses to 3 before the rest map to 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -92,13 +93,18 @@ def _resolve_tuple(args) -> GroupTuple:
     if sum(sources) != 1:
         raise ValueError("choose exactly one tuple source: --tuple-file, "
                          "--seed, or --lps")
-    if getattr(args, "lps", False):
-        return lps_preset()
+    if args.seed is not None:
+        if args.n is None:
+            raise ValueError("--n is required with --seed")
+        return haar_tuple(np.random.default_rng(args.seed), args.n)
     if args.tuple_file is not None:
-        return read_tuple_file(args.tuple_file)
-    if args.n is None:
-        raise ValueError("--n is required with --seed")
-    return haar_tuple(np.random.default_rng(args.seed), args.n)
+        t, source = read_tuple_file(args.tuple_file), args.tuple_file
+    else:
+        t, source = lps_preset(), "--lps"
+    if args.n is not None and args.n != len(t):
+        raise ValueError(f"--n {args.n} conflicts with the {len(t)} "
+                         f"generators of {source}")
+    return t
 
 
 def cmd_sample(args) -> int:
@@ -118,25 +124,27 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t = _resolve_tuple(args)
-    report = lambda1_estimate(t, args.cutoff)
-    for k, lam in report.per_level:
-        print(f"{k},{json_line(lam)}")
-    summary = {
-        "n": len(t),
-        "cutoff_J": report.cutoff_J,
-        "lambda1_J": report.lambda1_J,
-        "gap_proxy": report.gap_proxy,
-    }
-    if args.lps:
-        summary["margin"] = LPS_EDGE - report.lambda1_J
-    line = json_line(summary)
-    if args.out:
-        try:
-            Path(args.out).write_text(line + "\n")
-        except OSError as e:
-            raise OSError(f"cannot write summary to {args.out}: {e}") from e
-    else:
-        print(line, file=sys.stderr)
+    # --out opens before the sweep, so a bad path fails before any row, and
+    # for appending, so a failed sweep leaves an existing file as it was
+    try:
+        out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stderr)
+    except OSError as e:
+        raise OSError(f"cannot write summary to {args.out}: {e}") from e
+    with out as f:
+        report = lambda1_estimate(t, args.cutoff)
+        for k, lam in report.per_level:
+            print(f"{k},{json_line(lam)}")
+        summary = {
+            "n": len(t),
+            "cutoff_J": report.cutoff_J,
+            "lambda1_J": report.lambda1_J,
+            "gap_proxy": report.gap_proxy,
+        }
+        if args.lps:
+            summary["margin"] = LPS_EDGE - report.lambda1_J
+        if args.out:
+            f.truncate(0)
+        print(json_line(summary), file=f)
     return EXIT_OK
 
 

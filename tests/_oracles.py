@@ -67,6 +67,56 @@ def symmetric_power_matrix(k, m2):
     return ent
 
 
+def spin_matrices(k):
+    """(J_x, J_y, J_z) for spin k/2 in the basis m = k/2, k/2 - 1, ..., -k/2."""
+    j = k / 2.0
+    m = j - np.arange(k + 1)
+    raise_ = np.zeros((k + 1, k + 1))
+    for i in range(1, k + 1):
+        raise_[i - 1, i] = math.sqrt(j * (j + 1.0) - m[i] * (m[i] + 1.0))
+    jx = 0.5 * (raise_ + raise_.T)
+    jy = -0.5j * (raise_ - raise_.T)
+    return jx, jy, np.diag(m)
+
+
+def spin_level_image(q, spin):
+    """exp(2 i a (u . J)) for the unit quaternion q = cos(a) + sin(a) u.
+
+    Unitarily equivalent to the level-k image of q, with u . J = V diag(m)
+    V^dagger diagonalized numerically and its eigenvalues m = -k/2 .. k/2
+    known exactly.
+    """
+    jx, jy, jz = spin
+    k = jz.shape[0] - 1
+    q = np.asarray(q, dtype=float)
+    s = math.sqrt(float(q[1:] @ q[1:]))
+    a = math.atan2(s, float(q[0]))
+    u = q[1:] / s if s > 0.0 else np.array([0.0, 0.0, 1.0])
+    _, v = np.linalg.eigh(u[0] * jx + u[1] * jy + u[2] * jz)
+    m = np.arange(k + 1) - k / 2.0  # eigh returns ascending eigenvalues
+    return (v * np.exp(2j * a * m)) @ v.conj().T
+
+
+def spin_lambda_max_levels(quats, cutoff):
+    """lambda_max(sum_i p_i + p_i^dagger) for k = 1..cutoff, with p_i the
+    spin-matrix image of the quaternion (w, x, y, z) quats[i].
+
+    The top eigenvalue does not depend on which equivalent model of a level
+    is used, nor on the orientation convention of the quaternion units, so
+    this agrees with the library's sweep to roundoff at every level while
+    sharing none of its code (no Euler angles, no cached rotation basis).
+    """
+    out = []
+    for k in range(1, cutoff + 1):
+        spin = spin_matrices(k)
+        acc = np.zeros((k + 1, k + 1), dtype=complex)
+        for q in quats:
+            p = spin_level_image(q, spin)
+            acc += p + p.conj().T
+        out.append(float(np.linalg.eigvalsh(acc)[-1]))
+    return out
+
+
 def eig_multiset_distance(predicted, computed):
     """Greedy matching distance between two eigenvalue multisets.
 

@@ -95,6 +95,7 @@ def test_spectrum_seed_rerun_identical():
 
 def test_spectrum_lps_margin(tmp_path):
     out = tmp_path / "summary.json"
+    out.write_text("an earlier summary, replaced whole\n" * 10)
     r = run_cli("spectrum", "--lps", "--cutoff", "24", "--out", str(out))
     assert r.returncode == 0
     assert len(r.stdout.splitlines()) == 24
@@ -163,8 +164,24 @@ def test_spectrum_out_into_a_missing_directory_exits_4(tmp_path, capsys):
     target = tmp_path / "missing" / "summary.json"
     assert cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", "2",
                      "--out", str(target)]) == 4
-    assert str(target) in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # --out opens before the sweep
+    assert str(target) in err
     assert not target.parent.exists()
+
+
+def test_n_that_conflicts_with_the_tuple_source_exits_2(tmp_path, capsys):
+    tf = write_identity_pair(tmp_path / "id.tuple")
+    for argv in (["spectrum", "--lps", "--n", "2", "--cutoff", "2"],
+                 ["spectrum", "--tuple-file", tf, "--n", "3", "--cutoff", "2"],
+                 ["gap", "--tuple-file", tf, "--n", "3", "--level", "1"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--n" in err and "conflicts" in err
+    # a --n that agrees with the source is accepted
+    assert cli.main(["spectrum", "--lps", "--n", "3", "--cutoff", "2"]) == 0
+    assert cli.main(["gap", "--tuple-file", tf, "--n", "2", "--level", "1"]) == 0
 
 
 def test_spectrum_requires_one_source():
@@ -208,19 +225,27 @@ def test_gap_needs_exactly_one_of_level_and_cutoff(tmp_path):
                    "--cutoff", "2").returncode == 2
 
 
-@pytest.mark.parametrize("source", [["--n", "2", "--seed", "1"],
-                                    ["--n", "3", "--seed", "2"]],
-                         ids=["pair", "triple"])
-def test_gap_prints_one_lambda_per_level(capsys, source):
-    # k, lambda_max, lower and upper do not depend on --minmax
-    def columns(*extra):
-        assert cli.main(["gap", *source, "--cutoff", "10", *extra]) == 0
-        return [line.split(",")[:4]
-                for line in capsys.readouterr().out.splitlines()]
+@pytest.mark.parametrize("n", [2, 3], ids=["pair", "triple"])
+def test_gap_prints_one_lambda_per_level(capsys, n):
+    # k, lambda_max, lower and upper do not depend on --minmax, and
+    # lambda_max is the value spectrum prints and records carry; --seed of
+    # the stream of a scan's row 0 gives them all that row's tuple
+    source = ["--n", str(n), "--seed", str(lab.derive_seed(1, "zero_one_scan", 0))]
 
-    plain = columns()
+    def columns(*argv):
+        assert cli.main([*argv, *source]) == 0
+        return [line.split(",") for line in capsys.readouterr().out.splitlines()]
+
+    plain = columns("gap", "--cutoff", "10")
     assert len(plain) == 10
-    assert columns("--minmax", "--restarts", "2", "--iters", "5") == plain
+    minmax = columns("gap", "--cutoff", "10", "--minmax", "--restarts", "2",
+                     "--iters", "5")
+    assert [row[:4] for row in minmax] == [row[:4] for row in plain]
+    lams = [row[1] for row in plain]
+    assert [row[1] for row in columns("spectrum", "--cutoff", "10")] == lams
+    record = run_experiment(ExperimentConfig(kind="zero_one_scan", n=n, seed=1,
+                                             cutoff_J=10, samples=1))
+    assert [lab.json_line(lam) for lam in record.rows[0]["per_level"]] == lams
 
 
 def test_gap_minmax_rejects_bad_optimizer_flags(capsys):
@@ -484,6 +509,14 @@ def test_cutoff_above_the_highest_level_exits_2_before_any_work(tmp_path,
     assert list(tmp_path.iterdir()) == []
     rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", cutoff])
     assert rc == 2
+    assert "cutoff_J" in capsys.readouterr().err
+    # an existing --out file outlives the failure unchanged
+    summary = tmp_path / "summary.json"
+    summary.write_text("earlier summary\n")
+    rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", cutoff,
+                   "--out", str(summary)])
+    assert rc == 2
+    assert summary.read_text() == "earlier summary\n"
     assert "cutoff_J" in capsys.readouterr().err
     # gap prints a row per level as it goes, so a bad cutoff must stop it
     # before the first row

@@ -234,19 +234,21 @@ def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
     assert resumed == runs["1"]
 
 
-# sha256 of every record line but the wall-clock line, as the commit before
-# stacked sweeps wrote them (numpy 2.4, OpenBLAS 0.3.31, x86-64); the
-# float digits depend on the C library's atan2 and on LAPACK
+# sha256 of every record line but the wall-clock line (numpy 2.4, OpenBLAS
+# 0.3.31, x86-64); the float digits depend on the C library's atan2 and on
+# LAPACK.  The rank-3 records are as the commit before stacked sweeps wrote
+# them; the pair records (scan and fiber) as the pair blocks write them,
+# whose floats differ from the complex operator's by at most 6e-15 here
 GOLDEN = [
     (ExperimentConfig(kind="zero_one_scan", n=2, seed=1, cutoff_J=12, samples=3),
-     "72d218da12ad18d2adfc3af5416733fb0bf5f2e119ed3f8ddd84af39dbdfe25d"),
+     "688b254550d255a79993298f0f3d66cf9f43b4e3ba3143c3b249f6c00bbc63e8"),
     (ExperimentConfig(kind="orbit_invariance", n=3, seed=1, cutoff_J=6,
                       walk_length=20),
      "6ccd97d01d4430dcfc472839416aca24143cc7a18ef362aa69dba2d3ebec52d0"),
-    # two blocks of fiber rows, and 70 lps levels, as one row per call
-    # wrote them
+    # two blocks of fiber rows, and 70 lps levels as one row per call wrote
+    # them
     (FIBER_TWO_BLOCKS,
-     "e476ddc99de7c5d6fd371087b47057722cf0197c10b90fb99bc9a77c3cdfd46c"),
+     "d68d1f7ea37a9016674905d2fb0969001ce77d91e58b87b399b984125ee78ec4"),
     (ExperimentConfig(kind="lps_benchmark", n=3, seed=0, cutoff_J=70),
      "a3d94944821b4b606aa8ff149a1cab0c2a5c0cbb5e022c63e65ef6785bc6787e"),
 ]

@@ -27,7 +27,12 @@ from gaplab.spectral import (
     pgap_indicator,
 )
 
-from _oracles import grid_minmax_min, grid_quadratic_min, projective_grid
+from _oracles import (
+    grid_minmax_min,
+    grid_quadratic_min,
+    projective_grid,
+    spin_lambda_max_levels,
+)
 
 
 def identity_pair():
@@ -100,7 +105,8 @@ def test_lambda_max_two_by_two_closed_form():
 
 
 def test_lambda1_identity_tuple():
-    rep = lambda1_estimate(identity_pair(), 5)
+    rep = lambda1_estimate(identity_pair(), MAX_LEVEL)
+    assert {lam for _, lam in rep.per_level} == {4.0}
     assert rep.lambda1_J == 4.0
     assert rep.gap_proxy == 0.0
 
@@ -121,15 +127,52 @@ def test_stacked_sweep_equals_per_tuple_sweeps():
     assert spectral._STACK_ENTRIES // 61 ** 2 == 4
     assert spectral._STACK_ENTRIES // 31 ** 2 == 17
     rng = np.random.default_rng(17)
-    ts = [haar_tuple(rng, 3) for _ in range(18)]
-    alone = [lambda1_estimate(t, 60) for t in ts]
-    for size in (1, 4, 5, 18):
-        assert lambda1_estimates(ts[:size], 60) == alone[:size]
+    for n in (2, 3):  # pairs take their own path, cut into the same sub-stacks
+        ts = [haar_tuple(rng, n) for _ in range(18)]
+        alone = [lambda1_estimate(t, 60) for t in ts]
+        for size in (1, 4, 5, 18):
+            assert lambda1_estimates(ts[:size], 60) == alone[:size]
     assert lambda1_estimates([], 60) == []
-    # the one-matrix solve behind gap and lps gives the stacked values exactly
+    # for n >= 3, lambda_max of the one-tuple operator gives the stacked
+    # values exactly
     for t, report in zip(ts, alone):
         assert report.per_level == tuple(
             (k, lambda_max(averaging_operator(t, k))) for k in range(1, 61))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_matches_the_spin_matrix_oracle_at_every_level(n):
+    rng = np.random.default_rng(19 + n)
+    t = haar_tuple(rng, n)
+    got = [lam for _, lam in lambda1_estimate(t, MAX_LEVEL).per_level]
+    want = spin_lambda_max_levels([g.coords() for g in t], MAX_LEVEL)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def _torus(a, sign=1.0):
+    return GroupElement(math.cos(a), 0.0, 0.0, sign * math.sin(a))
+
+
+DEGENERATE_PAIRS = {
+    "identity": (identity(), identity()),
+    "minus_identity": (GroupElement(-1.0, 0.0, 0.0, 0.0),) * 2,
+    "central_first": (GroupElement(-1.0, 0.0, 0.0, 0.0),
+                      GroupElement(0.3, -0.5, 0.2, 0.7)),
+    "central_second": (GroupElement(0.3, -0.5, 0.2, 0.7), identity()),
+    "parallel_axes": (_torus(0.9), _torus(2.3)),
+    "antiparallel_axes": (_torus(0.9), _torus(0.4, -1.0)),
+    "perpendicular_axes": (_torus(0.9), GroupElement(0.2, 0.7, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_PAIRS))
+def test_degenerate_pairs_match_the_complex_operator(case):
+    t = GroupTuple(list(DEGENERATE_PAIRS[case]))
+    levels = [*range(1, 41), MAX_LEVEL - 1, MAX_LEVEL]
+    lams = dict(lambda1_estimate(t, MAX_LEVEL).per_level)
+    for k in levels:
+        want = np.linalg.eigvalsh(averaging_operator(t, k).matrix)[-1]
+        assert abs(lams[k] - want) <= 1e-12, k
 
 
 def test_stacked_sweep_validates_its_inputs():
@@ -219,6 +262,12 @@ def test_minmax_lands_in_sandwich():
         t = haar_tuple(rng, 2)
         lg = minmax_gap_estimate(t, 4, restarts=6, iters=120)
         assert lg.lower - 1e-6 <= lg.minmax_estimate <= lg.upper + 1e-6
+    # and with no slack at every level that gap --minmax is benchmarked on
+    for seed in range(20):
+        t = haar_tuple(np.random.default_rng(seed), 2)
+        for k in range(1, 13):
+            lg = minmax_gap_estimate(t, k, restarts=2, iters=20)
+            assert lg.lower <= lg.minmax_estimate <= lg.upper, (seed, k)
 
 
 def test_minmax_is_deterministic():
