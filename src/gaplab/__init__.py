@@ -11,13 +11,10 @@ script fronts the lab.
 __version__ = "0.1.0"
 
 from .group import (
-    ConjClass,
     GroupElement,
     GroupTuple,
     Word,
-    axis_angle,
     canonical_form,
-    conj_class,
     conjugate,
     conjugate_tuple,
     haar_sample,
@@ -42,7 +39,6 @@ from .spectral import (
     minmax_gap_estimate,
     literal_gap_formula,
     per_gen_min_displacement,
-    pgap_indicator,
 )
 from .nielsen import (
     NielsenMove,

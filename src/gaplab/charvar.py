@@ -15,8 +15,7 @@ therefore invariant fibers of the move dynamics;
 :func:`sample_level_set_counted` draws pairs on a fiber by Haar rejection.
 
 Conjugacy classes themselves are parametrized by the trace in [-2, 2] (the
-torus coordinate modulo the Weyl flip), so the class of a trace v is just
-``ConjClass(v)``, which clamps roundoff.
+torus coordinate modulo the Weyl flip).
 """
 
 from __future__ import annotations

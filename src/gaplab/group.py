@@ -13,16 +13,21 @@ accumulated (and before every matrix view), which keeps elements on the unit
 sphere to machine precision regardless of word length.
 
 The module also provides Haar sampling (four Gaussians projected to the unit
-3-sphere, which is rotation invariant by construction), trace/conjugacy-class
-coordinates, a conjugation normal form for tuples, and evaluation of reduced
-free-group words on tuples.
+3-sphere, which is rotation invariant by construction), traces and rotation
+angles (the trace alone fixes the conjugacy class), evaluation of reduced
+free-group words on tuples, and a conjugation normal form for tuples.
+
+Conjugation by h keeps w and turns the vector part (x, y, z) of every entry
+of a tuple by the same rotation.  So the normal form reads all vector parts
+in one right-handed frame (e1, e2, e3) built from the tuple itself: e3 along
+the first non-central entry, e2 along the first part orthogonal to it, and
+e1 = e2 x e3 (a reflected frame would not be a conjugation).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +35,8 @@ import numpy as np
 _RENORM_CHAIN = 32
 
 # Below this vector-part norm an element is treated as central (+-identity)
-# by the conjugation normal form; the cut only matters on a Haar-null set.
+# by the conjugation normal form, and a part orthogonal to the pivot axis as
+# zero; the cut only matters on a Haar-null set.
 _DEGENERATE_TOL = 1e-9
 
 
@@ -117,19 +123,6 @@ def trace(g: GroupElement) -> float:
     return 2.0 * g.w
 
 
-def axis_angle(g: GroupElement) -> tuple[tuple[float, float, float], float]:
-    """Rotation data (axis, alpha) with w = cos(alpha), vec = sin(alpha)*axis.
-
-    alpha lies in [0, pi].  For central elements (alpha in {0, pi}) the axis
-    is the fixed default (0, 0, 1).
-    """
-    s = math.sqrt(g.x * g.x + g.y * g.y + g.z * g.z)
-    alpha = math.atan2(s, g.w)
-    if s < 1e-15:
-        return (0.0, 0.0, 1.0), alpha
-    return (g.x / s, g.y / s, g.z / s), alpha
-
-
 def angle(g: GroupElement) -> float:
     """The rotation angle alpha in [0, pi] with 2*cos(alpha) = trace(g)."""
     s = math.sqrt(g.x * g.x + g.y * g.y + g.z * g.z)
@@ -141,32 +134,6 @@ def distance(g: GroupElement, h: GroupElement) -> float:
     return math.sqrt(
         (g.w - h.w) ** 2 + (g.x - h.x) ** 2 + (g.y - h.y) ** 2 + (g.z - h.z) ** 2
     )
-
-
-@dataclass(frozen=True)
-class ConjClass:
-    """A conjugacy class of SU(2), determined by its trace t in [-2, 2].
-
-    Classes correspond to rotation angles alpha in [0, pi] via t = 2 cos(alpha);
-    the torus coordinate modulo the Weyl flip alpha -> -alpha is captured
-    completely by t.
-    """
-
-    t: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t) or abs(self.t) > 2.0 + 1e-9:
-            raise ValueError(f"trace {self.t!r} is outside [-2, 2]")
-        object.__setattr__(self, "t", min(2.0, max(-2.0, float(self.t))))
-
-    @property
-    def angle(self) -> float:
-        return math.acos(self.t / 2.0)
-
-
-def conj_class(g: GroupElement) -> ConjClass:
-    """The conjugacy class of g; invariant under g -> h g h^-1."""
-    return ConjClass(2.0 * g.w)
 
 
 class GroupTuple:
@@ -232,64 +199,50 @@ def semicircle_cdf(t):
 # Conjugation normal form
 
 
-def _vec_norm(g: GroupElement) -> float:
-    return math.sqrt(g.x * g.x + g.y * g.y + g.z * g.z)
-
-
-def _align_axis_to_z(g: GroupElement) -> GroupElement:
-    """A quaternion h such that h g h^-1 has rotation axis (0, 0, 1)."""
-    s = _vec_norm(g)
-    ux, uy, uz = g.x / s, g.y / s, g.z / s
-    cn = math.hypot(ux, uy)  # |u x e3| = sin of the angle between u and e3
-    if cn < 1e-12:
-        if uz > 0.0:
-            return identity()
-        return GroupElement(0.0, 1.0, 0.0, 0.0)  # half-turn about the x-axis
-    half = 0.5 * math.atan2(cn, uz)
-    f = math.sin(half) / cn
-    return GroupElement(math.cos(half), uy * f, -ux * f, 0.0)
-
-
-def _snap_to_torus(g: GroupElement) -> GroupElement:
-    """Replace an almost-diagonal element by its exact torus form (z >= 0)."""
-    return GroupElement(g.w, 0.0, 0.0, _vec_norm(g))
-
-
 def canonical_form(t: GroupTuple) -> GroupTuple:
     """A conjugation normal form for tuples: the same output for the whole
     orbit {h t h^-1} outside a Haar-null degenerate set.
 
-    The first non-central entry is rotated into the torus (x = y = 0, z >= 0,
-    so its matrix is diag(e^{i a}, e^{-i a}) with a in [0, pi]); the residual
-    torus freedom is then spent rotating the first entry outside that torus
-    so its x component vanishes and y >= 0.  Central entries and entries
-    sharing the torus fall through to the next entry; a fully central tuple
-    is returned unchanged.
+    Conjugation keeps every w and turns every vector part v = (x, y, z) by
+    one rotation, so the normal form reads each v in one right-handed frame:
+    e3 is the unit axis of the pivot, the first entry with |v| above
+    ``_DEGENERATE_TOL``; e2 is the unit direction of the first later part
+    v_perp = v - (v.e3) e3 above the same tolerance; e1 = e2 x e3.  The
+    pivot becomes exactly (w, 0, 0, |v|), a torus element diag(e^{i a},
+    e^{-i a}) with a in [0, pi]; the entry that fixed e2 becomes exactly
+    (w, 0, |v_perp|, v.e3); every other entry becomes (w, v.e1, v.e2, v.e3).
+    A fully central tuple is returned unchanged, and a tuple on one axis is
+    read in a frame that completes e3 from a coordinate axis.
     """
-    elems = list(t)
-    pivot = next(
-        (i for i, g in enumerate(elems) if _vec_norm(g) > _DEGENERATE_TOL), None
-    )
+    elems = t.elements
+    pivot = next((i for i, g in enumerate(elems)
+                  if math.hypot(g.x, g.y, g.z) > _DEGENERATE_TOL), None)
     if pivot is None:
-        return GroupTuple(elems)
-    h1 = _align_axis_to_z(elems[pivot])
-    elems = [conjugate(h1, g) for g in elems]
-    elems[pivot] = _snap_to_torus(elems[pivot])
-    second = next(
-        (i for i, g in enumerate(elems) if math.hypot(g.x, g.y) > _DEGENERATE_TOL),
-        None,
-    )
-    if second is None:
-        return GroupTuple(elems)
-    # Rotation about e3 by beta sends (x, y) to (0, hypot(x, y)); conjugating
-    # by a torus quaternion with half-angle beta/2 realizes it.
-    beta = 0.5 * (0.5 * math.pi - math.atan2(elems[second].y, elems[second].x))
-    h2 = GroupElement(math.cos(beta), 0.0, 0.0, math.sin(beta))
-    elems = [conjugate(h2, g) for g in elems]
-    elems[pivot] = _snap_to_torus(elems[pivot])
-    g2 = elems[second]
-    elems[second] = GroupElement(g2.w, 0.0, math.hypot(g2.x, g2.y), g2.z)
-    return GroupTuple(elems)
+        return t
+    p = elems[pivot]
+    s = math.hypot(p.x, p.y, p.z)
+    ux, uy, uz = p.x / s, p.y / s, p.z / s
+    # two coordinate axes follow the later parts: one of them always has a
+    # part orthogonal to e3, which completes the frame of a one-axis tuple
+    parts = [(g.x, g.y, g.z) for g in elems[pivot + 1:]]
+    parts += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    for second, (x, y, z) in enumerate(parts, pivot + 1):
+        c = x * ux + y * uy + z * uz
+        ox, oy, oz = x - c * ux, y - c * uy, z - c * uz
+        r = math.hypot(ox, oy, oz)
+        if r > _DEGENERATE_TOL:
+            break
+    vx, vy, vz = ox / r, oy / r, oz / r
+    fx, fy, fz = vy * uz - vz * uy, vz * ux - vx * uz, vx * uy - vy * ux
+    # the rotation rounds like one product, so it adds one to _chain
+    out = [GroupElement._raw(g.w, g.x * fx + g.y * fy + g.z * fz,
+                             g.x * vx + g.y * vy + g.z * vz,
+                             g.x * ux + g.y * uy + g.z * uz, g._chain + 1)
+           for g in elems]
+    out[pivot] = GroupElement(p.w, 0.0, 0.0, s)
+    if second < len(elems):
+        out[second] = GroupElement(elems[second].w, 0.0, r, c)
+    return GroupTuple(out)
 
 
 def tuple_digest(t: GroupTuple) -> str:

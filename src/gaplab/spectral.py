@@ -364,24 +364,27 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
     lam = _level_lambda(t, level)
     lower, upper = _bounds_from_lambda(lam, len(t))
     d = level.dim
-    bs = np.stack([irrep_matrix(level, g).entries - np.eye(d) for g in t])
+    ps = [irrep_matrix(level, g).entries for g in t]
+    bs = np.stack(ps) - np.eye(d)
     bhb = np.stack([b.conj().T @ b for b in bs])
 
     def f_norms(v):
         return np.linalg.norm(bs @ v, axis=1)
 
+    a = np.zeros((d, d), dtype=np.complex128)
+    for p in ps:
+        a += p + p.conj().T
     rng = np.random.default_rng(0)
-    starts = [np.linalg.eigh(averaging_operator(t, level).matrix)[1][:, -1]]
+    # a contiguous copy: BLAS rounds a strided column differently
+    starts = [np.ascontiguousarray(np.linalg.eigh(a)[1][:, -1])]
     for _ in range(restarts - 1):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         starts.append(v / np.linalg.norm(v))
     best = math.inf
     for v in starts:
-        v = v.astype(np.complex128)
-        fv = float(np.max(f_norms(v)))
-        best = min(best, fv)
+        norms = f_norms(v)
+        best = min(best, float(np.max(norms)))
         for step in range(iters):
-            norms = f_norms(v)
             i = int(np.argmax(norms))
             if norms[i] < 1e-15:
                 best = 0.0
@@ -390,27 +393,22 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
             grad = grad - np.real(np.vdot(v, grad)) * v
             v = v - (0.3 / math.sqrt(step + 1.0)) * grad
             v = v / np.linalg.norm(v)
-            fv = float(np.max(f_norms(v)))
-            if fv < best:
-                best = fv
+            norms = f_norms(v)
+            best = min(best, float(np.max(norms)))
     return LevelGap(
         level=level, lambda_max=lam, lower=lower, upper=upper,
         minmax_estimate=best,
     )
 
 
-def pgap_indicator(t: GroupTuple, cutoff_J: int, threshold: float) -> int:
-    """1 iff the cutoff gap proxy 2n - lambda1_J exceeds the threshold.
+def pgap_from_report(report: SpectralReport, threshold: float) -> int:
+    """1 iff the cutoff gap proxy 2n - lambda1_J of ``report`` exceeds the
+    threshold.
 
     A finite-cutoff stand-in for the gap indicator: the true infimum over
     all levels is not computable at finite J, so outputs are evidence about
     the gapped/ungapped alternative, never a verdict.
     """
-    return pgap_from_report(lambda1_estimate(t, cutoff_J), threshold)
-
-
-def pgap_from_report(report: SpectralReport, threshold: float) -> int:
-    """The indicator evaluated on an existing report (no recomputation)."""
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     return int(report.gap_proxy > threshold)

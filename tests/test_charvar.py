@@ -15,7 +15,6 @@ from gaplab.charvar import (
     trace_coords,
 )
 from gaplab.group import (
-    ConjClass,
     GroupElement,
     GroupTuple,
     angle,
@@ -88,6 +87,7 @@ def test_fricke_bridge():
     for _ in range(1000):
         t = haar_tuple(rng, 2)
         assert abs(commutator_trace(t) - fricke(trace_coords(t))) < 1e-10
+        assert abs(commutator_trace(t)) <= 2.0 + 1e-9
 
 
 def test_char_point_validation():
@@ -95,17 +95,6 @@ def test_char_point_validation():
         CharPoint(2.5, 0.0, 0.0)
     with pytest.raises(ValueError):
         CharPoint(2.0, 2.0, -2.0)  # Fricke value 10, not realizable
-
-
-def test_class_of():
-    assert ConjClass(2.0).t == 2.0
-    assert ConjClass(-2.0).t == -2.0
-    assert ConjClass(2.0 + 5e-10).t == 2.0
-    with pytest.raises(ValueError):
-        ConjClass(2.1)
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        assert abs(ConjClass(commutator_trace(haar_tuple(rng, 2))).t) <= 2.0
 
 
 def test_nielsen_on_traces_fixed_point():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,14 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gaplab.group import (
-    ConjClass,
     GroupElement,
     GroupTuple,
     Word,
     angle,
-    axis_angle,
     canonical_form,
-    conj_class,
     conjugate,
     conjugate_tuple,
     distance,
@@ -100,45 +98,21 @@ def test_group_element_rejects_degenerate_input():
 
 
 # ---------------------------------------------------------------------------
-# axis/angle and conjugacy classes
-
-
-def test_axis_angle_examples():
-    _, a = axis_angle(identity())
-    assert a == 0.0
-    _, a = axis_angle(GroupElement(-1.0, 0.0, 0.0, 0.0))
-    assert abs(a - math.pi) < 1e-15
-    axis, a = axis_angle(GroupElement(1.0, 2.0, 0.0, 0.0))
-    assert abs(a - 1.1071487177940904) < 1e-12  # arccos(1/sqrt 5)
-    assert np.allclose(axis, (1.0, 0.0, 0.0), atol=1e-15)
-
-
-def test_axis_angle_reconstructs_the_element():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        g = haar_sample(rng)
-        (ax, ay, az), a = axis_angle(g)
-        s = math.sin(a)
-        rebuild = GroupElement(math.cos(a), s * ax, s * ay, s * az)
-        assert distance(g, rebuild) < 1e-12
-
-
-def test_central_elements_get_default_axis():
-    axis, _ = axis_angle(GroupElement(-1.0, 0.0, 0.0, 0.0))
-    assert axis == (0.0, 0.0, 1.0)
+# traces, angles and conjugacy classes
 
 
 def test_conj_class_examples():
-    assert conj_class(identity()).t == 2.0
+    # the class of g is fixed by its trace
+    assert trace(identity()) == 2.0
     g = GroupElement(1.0, 2.0, 0.0, 0.0)
-    assert abs(conj_class(g).t - 0.8944271909999159) < 1e-12  # 2/sqrt 5
+    assert abs(trace(g) - 0.8944271909999159) < 1e-12  # 2/sqrt 5
 
 
 def test_conj_class_is_conjugation_invariant():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         g, h = haar_sample(rng), haar_sample(rng)
-        assert abs(conj_class(conjugate(h, g)).t - conj_class(g).t) < 1e-12
+        assert abs(trace(conjugate(h, g)) - trace(g)) < 1e-12
 
 
 def test_inverse_preserves_trace():
@@ -146,14 +120,6 @@ def test_inverse_preserves_trace():
     for _ in range(100):
         g = haar_sample(rng)
         assert trace(inv(g)) == trace(g)
-
-
-def test_conj_class_validates_range():
-    assert ConjClass(2.0 + 5e-10).t == 2.0
-    assert ConjClass(-2.0 - 5e-10).t == -2.0
-    with pytest.raises(ValueError):
-        ConjClass(2.1)
-    assert abs(ConjClass(1.0).angle - math.pi / 3.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +227,24 @@ def _on_axis(a, u):
     return GroupElement(math.cos(a), s * u[0], s * u[1], s * u[2])
 
 
-# the degenerate branches of canonical_form: a pivot already on the torus
-# but with axis -e3 takes the half-turn, and a tuple on one axis has no
-# second entry to fix the residual torus freedom
+# tuples whose frame is degenerate: a pivot with axis -e3, and tuples on one
+# axis, where no later part fixes e2 and a coordinate axis completes the
+# frame; in the last one a part orthogonal to that axis stays below the
+# tolerance
+_AXIS, _NORMAL = (2 / 7, -3 / 7, 6 / 7), (3 / 7, 6 / 7, 2 / 7)
 DEGENERATE_TUPLES = {
     "pivot_axis_minus_e3": GroupTuple([
         _on_axis(0.7, (0.0, 0.0, -1.0)),
         _on_axis(1.3, (0.6, 0.0, 0.8)),
     ]),
     "one_shared_axis": GroupTuple([
-        _on_axis(a, (2 / 7, -3 / 7, 6 / 7)) for a in (0.4, -1.1, 2.5)
+        _on_axis(a, _AXIS) for a in (0.4, -1.1, 2.5)
+    ]),
+    "one_axis_below_tolerance": GroupTuple([
+        _on_axis(0.4, _AXIS),
+        GroupElement(math.cos(-1.1), *(math.sin(-1.1) * u + 5e-10 * p
+                                       for u, p in zip(_AXIS, _NORMAL))),
+        _on_axis(2.5, _AXIS),
     ]),
 }
 
@@ -284,6 +258,23 @@ def test_tuple_digest_constant_on_orbits_of_degenerate_tuples(name):
     digest = tuple_digest(t)
     for _ in range(50):
         assert tuple_digest(conjugate_tuple(haar_sample(rng), t)) == digest
+
+
+def _word_traces(t):
+    """tr w(t) for every word of one to three ascending distinct letters.  A
+    reflection of the vector parts keeps the traces of one and two letters
+    but flips the triple-product term of tr(g1 g2 g3)."""
+    letters = range(1, len(t) + 1)
+    return np.array([trace(word_eval(Word(w), t)) for r in (1, 2, 3)
+                     for w in itertools.combinations(letters, r)])
+
+
+def test_canonical_form_is_a_simultaneous_conjugate():
+    rng = np.random.default_rng(21)
+    tuples = [haar_tuple(rng, n) for n in (2, 3, 4, 5) for _ in range(50)]
+    for t in tuples + list(DEGENERATE_TUPLES.values()):
+        diff = _word_traces(canonical_form(t)) - _word_traces(t)
+        assert np.max(np.abs(diff)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +322,8 @@ def test_commutator_class_invariant_under_conjugation():
     for _ in range(200):
         t = haar_tuple(rng, 2)
         h = haar_sample(rng)
-        a = conj_class(word_eval(w, t)).t
-        b = conj_class(word_eval(w, conjugate_tuple(h, t))).t
+        a = trace(word_eval(w, t))
+        b = trace(word_eval(w, conjugate_tuple(h, t)))
         assert abs(a - b) < 1e-12
 
 
@@ -345,6 +336,10 @@ def test_vectorized_oracle_matches_library_mul():
 
 
 def test_angle_matches_trace():
+    assert angle(identity()) == 0.0
+    assert abs(angle(GroupElement(-1.0, 0.0, 0.0, 0.0)) - math.pi) < 1e-15
+    a = angle(GroupElement(1.0, 2.0, 0.0, 0.0))
+    assert abs(a - 1.1071487177940904) < 1e-12  # arccos(1/sqrt 5)
     rng = np.random.default_rng(20)
     for _ in range(100):
         g = haar_sample(rng)

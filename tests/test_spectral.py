@@ -24,7 +24,7 @@ from gaplab.spectral import (
     minmax_gap_estimate,
     literal_gap_formula,
     per_gen_min_displacement,
-    pgap_indicator,
+    pgap_from_report,
 )
 
 from _oracles import (
@@ -294,16 +294,17 @@ def test_saturation_iff_common_fixed_vector():
 
 
 def test_pgap_indicator():
-    assert pgap_indicator(identity_pair(), 4, 1e-3) == 0
-    assert pgap_indicator(lps_preset(), 24, 0.5) == 1
+    def pgap(t, cutoff_J, threshold):
+        return pgap_from_report(lambda1_estimate(t, cutoff_J), threshold)
+
+    assert pgap(identity_pair(), 4, 1e-3) == 0
+    assert pgap(lps_preset(), 24, 0.5) == 1
     rng = np.random.default_rng(15)
     t = haar_tuple(rng, 2)
     h = haar_sample(rng)
-    assert pgap_indicator(t, 8, 1e-3) == pgap_indicator(
-        conjugate_tuple(h, t), 8, 1e-3
-    )
+    assert pgap(t, 8, 1e-3) == pgap(conjugate_tuple(h, t), 8, 1e-3)
     with pytest.raises(ValueError):
-        pgap_indicator(t, 4, 0.0)
+        pgap(t, 4, 0.0)
 
 
 def test_spectral_quantities_conjugation_invariant():
