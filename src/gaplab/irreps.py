@@ -173,28 +173,31 @@ def _rotation_basis(k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class EulerStack:
     """N group elements and their Euler angles beta, arg A and arg B (see
-    Construction), one entry per element; slicing keeps them in step."""
+    Construction), one entry per element; indexing with a slice or an index
+    array keeps them in step."""
 
-    elements: tuple
+    elements: np.ndarray  # of GroupElement objects
     beta: np.ndarray
     arg_a: np.ndarray
     arg_b: np.ndarray
 
     @classmethod
     def of(cls, elements) -> "EulerStack":
-        elements = tuple(elements)
+        elements = list(elements)
         # every angle is a ratio of coordinates, so the quaternion's norm
         # drops out; math, not numpy, for the reason given under Stacks
         angles = [(math.atan2(math.hypot(g.x, g.y), math.hypot(g.w, g.z)),
                    math.atan2(g.z, g.w), math.atan2(g.y, g.x))
                   for g in elements]
         beta, arg_a, arg_b = np.array(angles, dtype=float).reshape(-1, 3).T
-        return cls(elements, beta, arg_a, arg_b)
+        objects = np.empty(len(elements), dtype=object)
+        objects[:] = elements
+        return cls(objects, beta, arg_a, arg_b)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __getitem__(self, s: slice) -> "EulerStack":
+    def __getitem__(self, s) -> "EulerStack":
         return EulerStack(self.elements[s], self.beta[s], self.arg_a[s],
                           self.arg_b[s])
 

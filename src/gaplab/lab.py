@@ -41,7 +41,12 @@ Every kind maps one task over consecutive blocks of _BLOCK row indices.  A
 scan, orbit or fiber task computes the spectra of its whole block with one
 stacked sweep (:func:`~gaplab.spectral.lambda1_estimates`; an orbit block
 also sweeps the state before its first row), which gives each tuple exactly
-the spectrum it gets alone, so block boundaries never show in the rows.  An
+the spectrum it gets alone, so block boundaries never show in the rows.
+Consecutive orbit states share n - 1 generator objects, and the sweep builds
+each shared object's irreps once per level and sub-stack, from a table per
+sub-stack of the block, so memory stays bounded as before.  The constant L
+of an orbit row depends on its move alone; it is computed once per distinct
+move of the walk (at most 18 at n = 3) before the first block.  An
 lps row is one level of the preset
 (:func:`~gaplab.spectral.level_gap_bounds`, the value ``gap`` prints), so a
 resume computes only the levels it still lacks.  With ``threads > 1`` the
@@ -178,7 +183,45 @@ class NonFiniteError(ValueError):
 
 def json_line(obj) -> str:
     """Serialize to compact JSON; every float gets 17 significant digits."""
-    return _fmt(obj)
+    return _fast(obj)
+
+
+# The quoted form of each str key json_line has met: records use a few
+# dozen keys, and the memo stops growing at _QUOTED_MAX.
+_QUOTED: dict = {}
+_QUOTED_MAX = 1024
+
+
+def _quoted(k) -> str:
+    if type(k) is not str:
+        return json.dumps(str(k))
+    q = _QUOTED.get(k)
+    if q is None:
+        q = json.dumps(k)
+        if len(_QUOTED) < _QUOTED_MAX:
+            _QUOTED[k] = q
+    return q
+
+
+def _fast(v) -> str:
+    """:func:`_fmt`, with the exact types that record rows hold dispatched
+    first; anything else (bool, None, numpy scalars) takes the isinstance
+    chain of :func:`_fmt`, which gives the same text."""
+    t = type(v)
+    if t is float:
+        if not math.isfinite(v):
+            raise NonFiniteError("records must not contain non-finite floats")
+        return format(v, ".17g")
+    if t is dict:
+        return "{" + ",".join([f"{_quoted(k)}:{_fast(x)}"
+                               for k, x in v.items()]) + "}"
+    if t is list or t is tuple:
+        return "[" + ",".join([_fast(x) for x in v]) + "]"
+    if t is int:
+        return str(v)
+    if t is str:
+        return json.dumps(v)
+    return _fmt(v)
 
 
 def _fmt(v) -> str:
@@ -272,9 +315,13 @@ def _walk_states(config: ExperimentConfig, start: GroupTuple):
     return walk, states
 
 
-def _orbit_row(config: ExperimentConfig, i: int, move, t_after: GroupTuple,
-               before: dict, after: dict) -> dict:
-    L = word_length_bound((move,), config.n)
+def _move_constants(moves, n: int) -> dict:
+    """The constant L = word_length_bound((m,), n) of each distinct move."""
+    return {m: word_length_bound((m,), n) for m in dict.fromkeys(moves)}
+
+
+def _orbit_row(config: ExperimentConfig, i: int, move, L: int,
+               t_after: GroupTuple, before: dict, after: dict) -> dict:
     row = {
         "index": i,
         "move": str(move),
@@ -292,12 +339,13 @@ def _orbit_row(config: ExperimentConfig, i: int, move, t_after: GroupTuple,
     return row
 
 
-def _orbit_rows(config: ExperimentConfig, walk, states: list,
+def _orbit_rows(config: ExperimentConfig, walk, lengths: dict, states: list,
                 block: range) -> list[dict]:
     # row i pairs the spectra of states i and i + 1, so adjacent blocks both
     # compute the state they share
     spectra = _block_spectra(states[block.start:block.stop + 1], config)
-    return [_orbit_row(config, i, walk[i], states[i + 1], before, after)
+    return [_orbit_row(config, i, walk[i], lengths[walk[i]], states[i + 1],
+                       before, after)
             for i, before, after in zip(block, spectra, spectra[1:])]
 
 
@@ -465,8 +513,10 @@ def _compute_rows(config: ExperimentConfig, start: int, threads: int):
     elif config.kind == "orbit_invariance":
         walk, states = _walk_states(config, haar_tuple(np.random.default_rng(
             derive_seed(config.seed, config.kind + ":start", 0)), config.n))
-        yield from _ordered_map(lambda b: _orbit_rows(config, walk, states, b),
-                                start, total, threads)
+        lengths = _move_constants(walk, config.n)
+        yield from _ordered_map(
+            lambda b: _orbit_rows(config, walk, lengths, states, b), start,
+            total, threads)
     else:  # level_set_walk
         yield from _ordered_map(lambda b: _fiber_rows(config, b), start,
                                 config.samples, threads)

@@ -38,15 +38,34 @@ Stacked sweeps
 --------------
 
 :func:`lambda1_estimates` sweeps many tuples of one rank at once, level by
-level.  For n >= 3, per level it builds one stack of irreps per generator
-position with :func:`~gaplab.irreps.irrep_stack`, sums them into a stack of
-averaging operators, and takes the top eigenvalues with one stacked
-``eigvalsh``; pairs take the blocks of Pairs below.  The stacks are cut into
-sub-stacks of at most _STACK_ENTRIES matrix entries, so memory does not grow
-with the number of tuples or with the level.  Every operation acts matrix by
-matrix, so each report is bit for bit the one the tuple gets alone;
-:func:`lambda1_estimate` is the stack of one tuple, and so, for n >= 3, is
-:func:`averaging_operator`.
+level.  The tuples are cut into sub-stacks whose operators hold at most
+_STACK_ENTRIES matrix entries, so memory does not grow with the number of
+tuples or with the level.  Pairs take the blocks of Pairs below.
+
+For n >= 3 a sub-stack's irreps come from one table of its distinct
+elements, told apart by identity (``id``), not by coordinates.  Neighbouring
+states of a Nielsen orbit share n - 1 generator objects, and a tuple may
+hold one object twice; the table builds each such element once per level,
+with one :func:`~gaplab.irreps.irrep_stack` call while the table fits in
+_STACK_ENTRIES entries.  The table lists the elements position by position,
+in order of first use.  A position whose elements are a contiguous run of
+it, as with Haar tuples, which share nothing, reads its term as a view;
+any other position gathers its term.  The terms are summed into the
+operators in generator order, and one stacked ``eigvalsh`` per sub-stack
+gives the top eigenvalues.  A larger table is built in pieces whose length
+is a multiple of the sub-stack's, so the runs of tuples that share nothing
+never straddle two pieces, and each piece is built when the first position
+that reads it comes up, so that its terms are summed while it is in cache.
+Larger arrays were slower: one call over a three-position table made the
+n = 3 sweep at J = 40 about 25% slower, and the cost vanished when glibc's
+mmap threshold was raised.  A sub-stack thus holds about 2n + 1 arrays of
+at most _STACK_ENTRIES entries at once: n pieces, n terms and the
+operators.
+
+Every operation acts matrix by matrix, so each report is bit for bit the one
+the tuple gets alone, whatever it shares; :func:`lambda1_estimate` is the
+stack of one tuple, and so, for n >= 3, are :func:`averaging_operator` and
+the operator of :func:`minmax_gap_estimate`.
 
 Every top eigenvalue comes from dense ``eigvalsh``, stacked here and on one
 matrix in :func:`lambda_max`.  Operators have dimension at most MAX_LEVEL + 1
@@ -171,19 +190,51 @@ def averaging_operator(t: GroupTuple, level) -> AveragingOperator:
     level = as_level(level)
     if level.k < 1:
         raise ValueError("averaging operators live on levels k >= 1")
-    stacks = [EulerStack.of([g]) for g in t]
-    return AveragingOperator(level, _operator_stack(level, stacks)[0], len(t))
+    return AveragingOperator(level, _operators([t])(level, slice(None))[1][0],
+                             len(t))
 
 
-def _operator_stack(level: IrrepLevel, stacks: list) -> np.ndarray:
-    """The averaging operators of N tuples at one level, shape (N, d, d);
-    ``stacks[i]`` holds the i-th generator of every tuple."""
-    d = level.dim
-    acc = np.zeros((len(stacks[0]), d, d), dtype=np.complex128)
-    for stack in stacks:
-        p = irrep_stack(level, stack)
-        acc += p + p.conj().transpose(0, 2, 1)
-    return acc
+def _operators(tuples):
+    """The function (level, rows) -> (terms, acc) for the m tuples in
+    ``tuples[rows]``: terms[i] holds pi_k of their i-th generators, shape
+    (m, d, d), and acc their averaging operators.  The irreps come from a
+    table of the distinct elements of the m tuples (see Stacked sweeps)."""
+    slots: dict = {}  # id(g) -> (index into stack, g)
+    cols = [[slots.setdefault(id(g), (len(slots), g))[0] for g in col]
+            for col in zip(*(t.elements for t in tuples))]
+    stack = EulerStack.of(g for _, g in slots.values())
+
+    def build(level: IrrepLevel, rows):
+        table: dict = {}  # index into stack -> row of the table
+        pos, ends = [], []
+        for col in cols:
+            pos.append([table.setdefault(s, len(table)) for s in col[rows]])
+            ends.append(len(table))
+        m, d = len(pos[0]), level.dim
+        size = m * max(1, _STACK_ENTRIES // d ** 2 // m)  # rows per piece
+        elements = stack[np.fromiter(table, dtype=np.intp, count=len(table))]
+        pieces: list = []
+        acc = np.zeros((m, d, d), dtype=np.complex128)
+        terms = []
+        for p, end, start in zip(pos, ends, [0, *ends]):
+            # build the pieces this position reads while they are in cache
+            while len(pieces) * size < end:
+                lo = len(pieces) * size
+                pieces.append(irrep_stack(level, elements[lo:lo + size]))
+            first, offset = divmod(start, size)
+            if end - start == m and offset + m <= size:
+                # every element is new, so p is the run start, ..., end - 1
+                term = pieces[first][offset:offset + m]
+            else:
+                first, last = min(p) // size, max(p) // size
+                source = (pieces[first] if first == last
+                          else np.concatenate(pieces[first:last + 1]))
+                term = source[np.subtract(p, first * size)]
+            acc += term + term.conj().transpose(0, 2, 1)
+            terms.append(term)
+        return terms, acc
+
+    return build
 
 
 def lambda_max(a: AveragingOperator) -> float:
@@ -249,9 +300,9 @@ def _level_tops(tuples):
     if n == 2:
         frames = _pair_frames(tuples)
         return lambda level, rows: _pair_tops(level.k, frames[rows])
-    stacks = [EulerStack.of(t[i] for t in tuples) for i in range(n)]
+    operators = _operators(tuples)
     return lambda level, rows: np.linalg.eigvalsh(
-        _operator_stack(level, [s[rows] for s in stacks]))[:, -1]
+        operators(level, rows)[1])[:, -1]
 
 
 def _level_lambda(t: GroupTuple, level: IrrepLevel) -> float:
@@ -361,19 +412,26 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
         raise ValueError("iters must be >= 0")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    lam = _level_lambda(t, level)
-    lower, upper = _bounds_from_lambda(lam, len(t))
     d = level.dim
-    ps = [irrep_matrix(level, g).entries for g in t]
+    if len(t) == 2:
+        lam = _level_lambda(t, level)
+        ps = [irrep_matrix(level, g).entries for g in t]
+        a = np.zeros((d, d), dtype=np.complex128)
+        for p in ps:
+            a += p + p.conj().T
+    else:
+        # the sweep's own operator and lambda_max, from one irrep_stack
+        terms, acc = _operators([t])(level, slice(None))
+        ps = [p[0] for p in terms]
+        a = acc[0]
+        lam = float(np.linalg.eigvalsh(acc)[0, -1])
+    lower, upper = _bounds_from_lambda(lam, len(t))
     bs = np.stack(ps) - np.eye(d)
     bhb = np.stack([b.conj().T @ b for b in bs])
 
     def f_norms(v):
         return np.linalg.norm(bs @ v, axis=1)
 
-    a = np.zeros((d, d), dtype=np.complex128)
-    for p in ps:
-        a += p + p.conj().T
     rng = np.random.default_rng(0)
     # a contiguous copy: BLAS rounds a strided column differently
     starts = [np.ascontiguousarray(np.linalg.eigh(a)[1][:, -1])]

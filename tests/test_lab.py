@@ -11,6 +11,7 @@ from gaplab import cli, irreps, lab
 from gaplab.irreps import MAX_LEVEL
 from gaplab.group import GroupTuple, haar_sample, identity, tuple_digest
 from gaplab.group import conjugate_tuple, haar_tuple
+from gaplab.nielsen import move_alphabet, word_length_bound
 from gaplab.lab import (
     ExperimentConfig,
     config_hash,
@@ -96,6 +97,53 @@ def test_json_line_float_format_round_trips():
 def test_json_line_rejects_non_finite():
     with pytest.raises(ValueError):
         json_line({"v": float("inf")})
+
+
+def test_json_line_fast_path_equals_the_generic_path():
+    values = [True, False, np.float64(0.1), np.int64(-7), None, 3, 'a"b',
+              (1.5, [2.0, (None, {"k": (True, np.float64(-0.0))})]),
+              {"a": {"b": [1, 2.5, ()]}, 3: "x", "": {}}]
+    for v in values:
+        assert json_line(v) == lab._fmt(v)
+    for cfg in RESUMABLE.values():
+        rec = run_experiment(cfg)
+        for obj in [cfg.to_dict(), rec.summary, *rec.rows]:
+            assert json_line(obj) == lab._fmt(obj)
+    # keys are quoted as str(key), never as a memoized equal key
+    assert json_line({1: 0}) == '{"1":0}'
+    assert json_line({True: 0}) == '{"True":0}'
+    for bad in ({"v": [np.float64("inf")]}, [math.nan], (1.0, -math.inf)):
+        with pytest.raises(lab.NonFiniteError):
+            json_line(bad)
+    with pytest.raises(TypeError):
+        json_line({"v": {1, 2}})
+
+
+def test_quoted_keys_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(lab, "_QUOTED", {})
+    json_line({f"key{i}": i for i in range(2 * lab._QUOTED_MAX)})
+    assert len(lab._QUOTED) <= lab._QUOTED_MAX
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_move_constants_are_the_word_length_bounds(n):
+    moves = move_alphabet(n)
+    assert lab._move_constants(moves, n) == {
+        m: word_length_bound((m,), n) for m in moves}
+
+
+def test_orbit_bounds_each_distinct_move_once(monkeypatch):
+    calls = []
+
+    def counted(s, n):
+        calls.append(s)
+        return word_length_bound(s, n)
+
+    monkeypatch.setattr(lab, "word_length_bound", counted)
+    cfg = ExperimentConfig(kind="orbit_invariance", n=3, seed=2, cutoff_J=2,
+                           walk_length=300)
+    run_experiment(cfg, threads=2)
+    assert len(calls) == len(set(calls)) <= len(move_alphabet(3))
 
 
 def test_config_hash_stability():
@@ -439,7 +487,8 @@ def test_orbit_identity_start_is_fixed():
     cfg = ExperimentConfig(kind="orbit_invariance", n=2, seed=5, cutoff_J=4,
                            walk_length=20)
     walk, states = lab._walk_states(cfg, GroupTuple([identity(), identity()]))
-    rows = lab._orbit_rows(cfg, walk, states, range(cfg.walk_length))
+    lengths = lab._move_constants(walk, cfg.n)
+    rows = lab._orbit_rows(cfg, walk, lengths, states, range(cfg.walk_length))
     assert len(rows) == cfg.walk_length
     for row in rows:
         assert row["gap_proxy"] == 0.0

@@ -12,9 +12,10 @@ from gaplab.group import (
     haar_tuple,
     identity,
 )
-from gaplab import spectral
+from gaplab import irreps, spectral
 from gaplab.irreps import MAX_LEVEL, irrep_matrix
 from gaplab.lab import lps_preset
+from gaplab.nielsen import apply_move, random_walk
 from gaplab.spectral import (
     averaging_operator,
     lambda1_estimate,
@@ -138,6 +139,46 @@ def test_stacked_sweep_equals_per_tuple_sweeps():
     for t, report in zip(ts, alone):
         assert report.per_level == tuple(
             (k, lambda_max(averaging_operator(t, k))) for k in range(1, 61))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shared_elements_give_the_per_tuple_reports(n):
+    # an orbit shares n - 1 generator objects between consecutive states; a
+    # tuple may hold one object twice; copies rebuilt from coords() share
+    # nothing.  At k = 60 a sub-stack holds 4 tuples, so sub-stacks cut
+    # through the block and the distinct elements of each are built alone
+    rng = np.random.default_rng(40 + n)
+    states = [haar_tuple(rng, n)]
+    for move in random_walk(rng, n, 11):
+        states.append(apply_move(move, states[-1]))
+    g, h = haar_sample(rng), haar_sample(rng)
+    doubled = GroupTuple([g, g, h] + [g] * (n - 3))
+    tuples = states[:6] + [doubled] + states[6:] + [doubled]
+    copies = [GroupTuple(GroupElement._raw(*e.coords(), 0) for e in t)
+              for t in tuples]
+    alone = [lambda1_estimate(t, 60) for t in copies]
+    assert lambda1_estimates(tuples, 60) == alone
+    assert lambda1_estimates(copies, 60) == alone
+    assert [lambda1_estimate(t, 60) for t in tuples] == alone
+
+
+def test_minmax_builds_one_irrep_stack_per_level(monkeypatch):
+    calls = []
+
+    def counted(level, stack):
+        calls.append(len(stack))
+        return irrep_stack(level, stack)
+
+    irrep_stack = irreps.irrep_stack
+    monkeypatch.setattr(irreps, "irrep_stack", counted)
+    monkeypatch.setattr(spectral, "irrep_stack", counted)
+    t = haar_tuple(np.random.default_rng(18), 3)
+    for k in range(1, 6):
+        calls.clear()
+        lg = minmax_gap_estimate(t, k, restarts=2, iters=10)
+        assert calls == [3], k
+        # the sweep's own lambda_max
+        assert lg.lambda_max == lambda1_estimate(t, k).per_level[-1][1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
