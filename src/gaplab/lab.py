@@ -183,7 +183,7 @@ class NonFiniteError(ValueError):
 
 def json_line(obj) -> str:
     """Serialize to compact JSON; every float gets 17 significant digits."""
-    return _fast(obj)
+    return _fmt(obj)
 
 
 # The quoted form of each str key json_line has met: records use a few
@@ -203,45 +203,27 @@ def _quoted(k) -> str:
     return q
 
 
-def _fast(v) -> str:
-    """:func:`_fmt`, with the exact types that record rows hold dispatched
-    first; anything else (bool, None, numpy scalars) takes the isinstance
-    chain of :func:`_fmt`, which gives the same text."""
-    t = type(v)
-    if t is float:
+def _fmt(v) -> str:
+    # a plain float first: most values of a record are
+    if type(v) is float:
         if not math.isfinite(v):
             raise NonFiniteError("records must not contain non-finite floats")
         return format(v, ".17g")
-    if t is dict:
-        return "{" + ",".join([f"{_quoted(k)}:{_fast(x)}"
+    if isinstance(v, dict):
+        return "{" + ",".join([f"{_quoted(k)}:{_fmt(x)}"
                                for k, x in v.items()]) + "}"
-    if t is list or t is tuple:
-        return "[" + ",".join([_fast(x) for x in v]) + "]"
-    if t is int:
-        return str(v)
-    if t is str:
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join([_fmt(x) for x in v]) + "]"
+    if isinstance(v, str):
         return json.dumps(v)
-    return _fmt(v)
-
-
-def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if not math.isfinite(f):
-            raise NonFiniteError("records must not contain non-finite floats")
-        return format(f, ".17g")
-    if isinstance(v, str):
-        return json.dumps(v)
+        return _fmt(float(v))
     if v is None:
         return "null"
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_fmt(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_fmt(x)}" for k, x in v.items()) + "}"
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 

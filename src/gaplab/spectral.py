@@ -52,15 +52,22 @@ in order of first use.  A position whose elements are a contiguous run of
 it, as with Haar tuples, which share nothing, reads its term as a view;
 any other position gathers its term.  The terms are summed into the
 operators in generator order, and one stacked ``eigvalsh`` per sub-stack
-gives the top eigenvalues.  A larger table is built in pieces whose length
-is a multiple of the sub-stack's, so the runs of tuples that share nothing
-never straddle two pieces, and each piece is built when the first position
-that reads it comes up, so that its terms are summed while it is in cache.
-Larger arrays were slower: one call over a three-position table made the
-n = 3 sweep at J = 40 about 25% slower, and the cost vanished when glibc's
-mmap threshold was raised.  A sub-stack thus holds about 2n + 1 arrays of
-at most _STACK_ENTRIES entries at once: n pieces, n terms and the
-operators.
+gives the top eigenvalues.  The table's layout depends on the sub-stack's
+rows alone, so it is worked out once for each cut of the tuples into
+sub-stacks, not once per level.  A larger table is built in pieces whose
+length is a multiple of the sub-stack's, so the runs of tuples that share
+nothing never straddle two pieces, and each piece is built when the first
+position that reads it comes up, so that its terms are summed while it is
+in cache.  Larger arrays were slower: one call over a three-position table
+made the n = 3 sweep at J = 40 about 25% slower, and the cost vanished when
+glibc's mmap threshold was raised.  A gather that spans pieces fills its
+term piece by piece.  The terms are handed out one at a time, and a piece is
+dropped as soon as no later position reads it, so a sweep holds at most the
+pieces still to be read, one term and the operators, each of at most
+_STACK_ENTRIES entries (one matrix, if that is larger), plus the
+temporaries of one sum.  Freeing each piece before the next is built keeps
+the allocator reusing the same memory: holding all n pieces to the end made
+levels 31 to 60 of an n = 3 sweep of Haar tuples 5 to 14% slower.
 
 Every operation acts matrix by matrix, so each report is bit for bit the one
 the tuple gets alone, whatever it shares; :func:`lambda1_estimate` is the
@@ -70,9 +77,10 @@ the operator of :func:`minmax_gap_estimate`.
 Every top eigenvalue comes from dense ``eigvalsh``, stacked here and on one
 matrix in :func:`lambda_max`.  Operators have dimension at most MAX_LEVEL + 1
 = 201, where a dense solve costs little and is accurate to roundoff; its only
-failure is ``numpy.linalg.LinAlgError``, which propagates.  The sweep,
-:func:`level_gap_bounds` and :func:`minmax_gap_estimate` take each top
-eigenvalue from one per-level function, so ``scan``, ``spectrum``, ``gap``
+failure is ``numpy.linalg.LinAlgError``, which propagates.  The sweep and
+:func:`level_gap_bounds` take each top eigenvalue from one per-level
+function, and :func:`minmax_gap_estimate` takes it from there for pairs and
+from the same stacked operator otherwise, so ``scan``, ``spectrum``, ``gap``
 and ``gap --minmax`` print one value per tuple and level.
 
 Pairs
@@ -135,7 +143,7 @@ from .irreps import (
     _rotation_basis,
     as_level,
     eigen_angles,
-    irrep_matrix,
+    irrep_matrix,  # unused; bench/test_bench.py checks its rebinding here
     irrep_stack,
 )
 
@@ -190,33 +198,63 @@ def averaging_operator(t: GroupTuple, level) -> AveragingOperator:
     level = as_level(level)
     if level.k < 1:
         raise ValueError("averaging operators live on levels k >= 1")
-    return AveragingOperator(level, _operators([t])(level, slice(None))[1][0],
-                             len(t))
+    return AveragingOperator(
+        level, _summed(_terms([t])(level, slice(None)))[0], len(t))
 
 
-def _operators(tuples):
-    """The function (level, rows) -> (terms, acc) for the m tuples in
-    ``tuples[rows]``: terms[i] holds pi_k of their i-th generators, shape
-    (m, d, d), and acc their averaging operators.  The irreps come from a
-    table of the distinct elements of the m tuples (see Stacked sweeps)."""
+def _summed(terms) -> np.ndarray:
+    """The averaging operators sum_i term_i + term_i^dagger, in generator
+    order."""
+    acc = None
+    for term in terms:
+        if acc is None:
+            acc = np.zeros(term.shape, dtype=np.complex128)
+        acc += term + term.conj().transpose(0, 2, 1)
+        del term  # frees a dropped piece before the next one is built
+    return acc
+
+
+def _terms(tuples):
+    """The function (level, rows) -> an iterator over the n terms of the m
+    tuples in ``tuples[rows]``: term i holds pi_k of their i-th generators,
+    shape (m, d, d).  The irreps come from a table of the distinct elements
+    of the m tuples (see Stacked sweeps)."""
     slots: dict = {}  # id(g) -> (index into stack, g)
     cols = [[slots.setdefault(id(g), (len(slots), g))[0] for g in col]
             for col in zip(*(t.elements for t in tuples))]
     stack = EulerStack.of(g for _, g in slots.values())
+    layouts: dict = {}  # rows.indices(N) -> layout of their table
 
-    def build(level: IrrepLevel, rows):
+    def layout(start: int, stop: int):
+        """The table's elements, the rows of the table that each position
+        reads, the end of each position's new rows, and the lowest row that
+        any later position reads."""
         table: dict = {}  # index into stack -> row of the table
         pos, ends = [], []
         for col in cols:
-            pos.append([table.setdefault(s, len(table)) for s in col[rows]])
+            pos.append(np.array([table.setdefault(s, len(table))
+                                 for s in col[start:stop]], dtype=np.intp))
             ends.append(len(table))
+        lows, low = [], len(table)
+        for p in reversed(pos):
+            lows.append(low)
+            low = min(low, int(p.min()))
+        index = np.fromiter(table, dtype=np.intp, count=len(table))
+        return stack[index], pos, ends, lows[::-1]
+
+    def terms(level: IrrepLevel, rows):
+        key = rows.indices(len(tuples))
+        if key not in layouts:
+            # a sweep cuts the tuples the same way at every level until the
+            # step changes, and each cut starts at row 0: keep one cut
+            if key[0] == 0:
+                layouts.clear()
+            layouts[key] = layout(*key[:2])
+        elements, pos, ends, lows = layouts[key]
         m, d = len(pos[0]), level.dim
         size = m * max(1, _STACK_ENTRIES // d ** 2 // m)  # rows per piece
-        elements = stack[np.fromiter(table, dtype=np.intp, count=len(table))]
         pieces: list = []
-        acc = np.zeros((m, d, d), dtype=np.complex128)
-        terms = []
-        for p, end, start in zip(pos, ends, [0, *ends]):
+        for p, end, start, low in zip(pos, ends, [0, *ends], lows):
             # build the pieces this position reads while they are in cache
             while len(pieces) * size < end:
                 lo = len(pieces) * size
@@ -224,17 +262,21 @@ def _operators(tuples):
             first, offset = divmod(start, size)
             if end - start == m and offset + m <= size:
                 # every element is new, so p is the run start, ..., end - 1
-                term = pieces[first][offset:offset + m]
-            else:
-                first, last = min(p) // size, max(p) // size
-                source = (pieces[first] if first == last
-                          else np.concatenate(pieces[first:last + 1]))
-                term = source[np.subtract(p, first * size)]
-            acc += term + term.conj().transpose(0, 2, 1)
-            terms.append(term)
-        return terms, acc
+                yield pieces[first][offset:offset + m]
+            elif end <= size:  # p reads the first piece alone
+                yield pieces[0][p]
+            else:  # gather piece by piece
+                term = np.empty((m, d, d), dtype=np.complex128)
+                piece, local = np.divmod(p, size)
+                for j in range(int(piece.min()), len(pieces)):
+                    chosen = piece == j
+                    term[chosen] = pieces[j][local[chosen]]
+                yield term
+            # drop the pieces that no later position reads
+            for j in range(low // size):
+                pieces[j] = None
 
-    return build
+    return terms
 
 
 def lambda_max(a: AveragingOperator) -> float:
@@ -294,15 +336,15 @@ def _pair_tops(k: int, frames: np.ndarray) -> np.ndarray:
 def _level_tops(tuples):
     """The function (level, rows) -> lambda_max at that level of every tuple
     in ``tuples[rows]``: the pair blocks for n = 2, the stacked complex
-    operators otherwise.  The sweep, :func:`level_gap_bounds` and
-    :func:`minmax_gap_estimate` take every top eigenvalue from here."""
+    operators otherwise.  The sweep and :func:`level_gap_bounds` take every
+    top eigenvalue from here, :func:`minmax_gap_estimate` those of pairs."""
     n = len(tuples[0])
     if n == 2:
         frames = _pair_frames(tuples)
         return lambda level, rows: _pair_tops(level.k, frames[rows])
-    operators = _operators(tuples)
+    terms = _terms(tuples)
     return lambda level, rows: np.linalg.eigvalsh(
-        operators(level, rows)[1])[:, -1]
+        _summed(terms(level, rows)))[:, -1]
 
 
 def _level_lambda(t: GroupTuple, level: IrrepLevel) -> float:
@@ -413,18 +455,13 @@ def minmax_gap_estimate(t: GroupTuple, level, restarts: int = 16,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     d = level.dim
-    if len(t) == 2:
-        lam = _level_lambda(t, level)
-        ps = [irrep_matrix(level, g).entries for g in t]
-        a = np.zeros((d, d), dtype=np.complex128)
-        for p in ps:
-            a += p + p.conj().T
-    else:
-        # the sweep's own operator and lambda_max, from one irrep_stack
-        terms, acc = _operators([t])(level, slice(None))
-        ps = [p[0] for p in terms]
-        a = acc[0]
-        lam = float(np.linalg.eigvalsh(acc)[0, -1])
+    # the sweep's own operator and lambda_max, from one irrep_stack call
+    terms = list(_terms([t])(level, slice(None)))
+    acc = _summed(terms)
+    ps = [p[0] for p in terms]
+    a = acc[0]
+    lam = (_level_lambda(t, level) if len(t) == 2
+           else float(np.linalg.eigvalsh(acc)[0, -1]))
     lower, upper = _bounds_from_lambda(lam, len(t))
     bs = np.stack(ps) - np.eye(d)
     bhb = np.stack([b.conj().T @ b for b in bs])

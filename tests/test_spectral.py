@@ -162,7 +162,8 @@ def test_shared_elements_give_the_per_tuple_reports(n):
     assert [lambda1_estimate(t, 60) for t in tuples] == alone
 
 
-def test_minmax_builds_one_irrep_stack_per_level(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3])
+def test_minmax_builds_one_irrep_stack_per_level(monkeypatch, n):
     calls = []
 
     def counted(level, stack):
@@ -172,11 +173,11 @@ def test_minmax_builds_one_irrep_stack_per_level(monkeypatch):
     irrep_stack = irreps.irrep_stack
     monkeypatch.setattr(irreps, "irrep_stack", counted)
     monkeypatch.setattr(spectral, "irrep_stack", counted)
-    t = haar_tuple(np.random.default_rng(18), 3)
+    t = haar_tuple(np.random.default_rng(18), n)
     for k in range(1, 6):
         calls.clear()
         lg = minmax_gap_estimate(t, k, restarts=2, iters=10)
-        assert calls == [3], k
+        assert calls == [n], k
         # the sweep's own lambda_max
         assert lg.lambda_max == lambda1_estimate(t, k).per_level[-1][1]
 
