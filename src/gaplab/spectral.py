@@ -67,7 +67,7 @@ pieces still to be read, one term and the operators, each of at most
 _STACK_ENTRIES entries (one matrix, if that is larger), plus the
 temporaries of one sum.  Freeing each piece before the next is built keeps
 the allocator reusing the same memory: holding all n pieces to the end made
-levels 31 to 60 of an n = 3 sweep of Haar tuples 5 to 14% slower.
+levels 31 to 60 of an n = 3 sweep of Haar tuples 10 to 18% slower.
 
 Every operation acts matrix by matrix, so each report is bit for bit the one
 the tuple gets alone, whatever it shares; :func:`lambda1_estimate` is the
