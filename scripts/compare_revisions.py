@@ -18,7 +18,7 @@ code, stdout, stderr and every file the command wrote, line by line:
 - a line that parses as JSON is compared as a structure, any other line
   field by field between commas;
 - a number that is a float on either side counts towards the largest float
-  difference of its command; the record's ``wall_clock_s`` is skipped;
+  difference of its command;
 - every other value, line count, file name or exit code must be identical,
   and each difference is printed as a mismatch.
 
@@ -40,7 +40,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_COMMANDS = Path(__file__).resolve().parent / "commands.txt"
-SKIPPED_KEYS = {"wall_clock_s"}
 
 
 def read_commands(path: Path) -> list[list[str]]:
@@ -87,8 +86,7 @@ def compare(a, b, where: str, report: dict) -> None:
             report["mismatches"].append(f"{where}: keys {sorted(a)} != {sorted(b)}")
             return
         for key in a:
-            if key not in SKIPPED_KEYS:
-                compare(a[key], b[key], f"{where}.{key}", report)
+            compare(a[key], b[key], f"{where}.{key}", report)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             report["mismatches"].append(f"{where}: length {len(a)} != {len(b)}")

@@ -16,8 +16,9 @@ the ``ExperimentConfig`` field of the same name.
 Every command is a pure function of its flags: seeds are mandatory wherever
 randomness enters (no wall-clock seeding), rows are emitted in deterministic
 order whatever the worker count, and reruns produce byte-identical primary
-output.  CSV rows go to stdout; summaries are single JSON lines on stderr or
-in ``--out``; record files follow the lab's JSONL layout.
+output, record files included.  CSV rows go to stdout; summaries are single
+JSON lines on stderr or in ``--out``; record files follow the lab's JSONL
+layout.
 
 Exit codes: 0 success, 2 input/config error, 3 numerical failure, 4 I/O
 failure.  Input errors are plain ``ValueError``s, from the flag checks here
@@ -124,6 +125,8 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t = _resolve_tuple(args)
+    if not 1 <= args.cutoff <= MAX_LEVEL:
+        raise ValueError(f"--cutoff must lie in [1, {MAX_LEVEL}]")
     # --out opens before the sweep, so a bad path fails before any row, and
     # for appending, so a failed sweep leaves an existing file as it was
     try:

@@ -262,22 +262,10 @@ def tuple_digest(t: GroupTuple) -> str:
 # Free-group words
 
 
-def free_reduce(letters) -> tuple[int, ...]:
-    """Cancel adjacent inverse pairs until no (i, -i) remains."""
-    stack: list[int] = []
-    for l in letters:
-        if stack and stack[-1] == -l:
-            stack.pop()
-        else:
-            stack.append(l)
-    return tuple(stack)
-
-
 class Word:
     """A reduced word in F_n: letters are signed generator indices.
 
-    Construction rejects non-reduced input; use :func:`free_reduce` first when
-    composing substitutions.
+    Construction rejects non-reduced input.
     """
 
     __slots__ = ("letters",)

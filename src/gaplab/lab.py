@@ -29,10 +29,12 @@ Reproducibility
 Row i draws its random stream from a counter-based 64-bit mix of (root seed,
 experiment kind, i), so rows are independent tasks and results are identical
 for any execution order or worker count.  Record files are JSON lines: line 1
-the config, one line per row, and a final summary line; floats are written
-with 17 significant digits so parsed values round-trip exactly.  A run
-interrupted after r rows, even one killed mid-line, can be resumed against
-the partial file and yields the same rows as an uninterrupted run.
+the config, one line per row, and a final line with the summary and the
+version; floats are written with 17 significant digits so parsed values
+round-trip exactly.  Nothing in a record depends on the clock, so the same
+config writes the same file byte for byte.  A run interrupted after r rows,
+even one killed mid-line, can be resumed against the partial file and ends
+with the file an uninterrupted run writes.
 
 Execution
 ---------
@@ -65,7 +67,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -167,7 +168,6 @@ class RunRecord:
     config: ExperimentConfig
     rows: list
     summary: dict
-    wall_clock_s: float
     version: str
     path: str | None = None
 
@@ -515,7 +515,13 @@ def _parse_record(path: Path):
     """
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
-    lines = [json.loads(line) for line in data[:end].decode().splitlines()]
+    lines = []
+    for n, line in enumerate(data[:end].decode().splitlines(), start=1):
+        try:
+            lines.append(json.loads(line))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: line {n} is not JSON: {e.msg} "
+                             f"(column {e.colno})") from None
     if not lines:
         return None, [], None, 0
     config, rows = lines[0], lines[1:]
@@ -540,7 +546,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
     (config, index), so resumed and uninterrupted runs agree row for row,
     and any ``threads`` count (>= 1) produces identical records.
     """
-    t0 = time.perf_counter()
     if threads < 1:
         raise ValueError("threads must be >= 1")
     path = None
@@ -572,15 +577,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
                 handle.write(json_line(row) + "\n")
                 handle.flush()
         summary = recompute_summary(config, rows)
-        wall = time.perf_counter() - t0
         if handle is not None:
-            handle.write(
-                json_line({
-                    "summary": summary,
-                    "wall_clock_s": wall,
-                    "version": ARTIFACT_VERSION,
-                }) + "\n"
-            )
+            handle.write(json_line({"summary": summary,
+                                    "version": ARTIFACT_VERSION}) + "\n")
     finally:
         if handle is not None:
             handle.close()
@@ -588,7 +587,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1,
         config=config,
         rows=rows,
         summary=summary,
-        wall_clock_s=wall,
         version=ARTIFACT_VERSION,
         path=str(path) if path is not None else None,
     )
@@ -602,12 +600,11 @@ def load_record(path) -> RunRecord:
     config, rows, final, _ = _parse_record(Path(path))
     if config is None:
         raise ValueError(f"{path} has no complete config line")
-    final = final or {"summary": None, "wall_clock_s": 0.0, "version": None}
+    final = final or {"summary": None, "version": None}
     return RunRecord(
         config=ExperimentConfig(**config),
         rows=rows,
         summary=final["summary"],
-        wall_clock_s=final["wall_clock_s"],
         version=final["version"],
         path=str(path),
     )

@@ -291,8 +291,7 @@ def test_scan_byte_identical_across_threads(tmp_path):
         r = run_cli("scan", "--n", "2", "--cutoff", "5", "--samples", "8",
                     "--seed", "3", "--out-dir", str(d), "--threads", threads)
         assert r.returncode == 0
-        record = next(d.iterdir()).read_text().splitlines()
-        out[threads] = (r.stdout, record[:-1])  # summary line carries wall clock
+        out[threads] = (r.stdout, next(d.iterdir()).read_bytes())
     assert out["1"] == out["8"]
 
 
@@ -310,8 +309,8 @@ def test_scan_resume_matches_uninterrupted(tmp_path):
     (part_d / record_filename(cfg)).write_text(partial)
     r = run_cli("scan", *args, "--out-dir", str(part_d), "--resume")
     assert r.returncode == 0
-    part_lines = (part_d / record_filename(cfg)).read_text().splitlines()
-    assert part_lines[:-1] == full_lines[:-1]
+    assert ((part_d / record_filename(cfg)).read_bytes()
+            == (full_d / record_filename(cfg)).read_bytes())
 
 
 def test_orbit_commutator_drift(tmp_path):
@@ -507,17 +506,20 @@ def test_cutoff_above_the_highest_level_exits_2_before_any_work(tmp_path,
     assert rc == 2
     assert "cutoff_J" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", cutoff])
-    assert rc == 2
-    assert "cutoff_J" in capsys.readouterr().err
-    # an existing --out file outlives the failure unchanged
+    # spectrum checks the cutoff before it opens --out: an existing file
+    # outlives the failure unchanged, and a new one is never made
     summary = tmp_path / "summary.json"
     summary.write_text("earlier summary\n")
-    rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff", cutoff,
-                   "--out", str(summary)])
-    assert rc == 2
+    new = tmp_path / "new.json"
+    for bad in (cutoff, "0"):
+        for out in ([], ["--out", str(summary)], ["--out", str(new)]):
+            rc = cli.main(["spectrum", "--n", "2", "--seed", "1", "--cutoff",
+                           bad, *out])
+            assert rc == 2
+            assert (f"--cutoff must lie in [1, {MAX_LEVEL}]"
+                    in capsys.readouterr().err)
     assert summary.read_text() == "earlier summary\n"
-    assert "cutoff_J" in capsys.readouterr().err
+    assert not new.exists()
     # gap prints a row per level as it goes, so a bad cutoff must stop it
     # before the first row
     for bad in (cutoff, "0"):

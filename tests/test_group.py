@@ -16,7 +16,6 @@ from gaplab.group import (
     conjugate,
     conjugate_tuple,
     distance,
-    free_reduce,
     haar_sample,
     haar_tuple,
     identity,
@@ -287,15 +286,6 @@ def test_word_rejects_unreduced_and_zero():
     with pytest.raises(ValueError):
         Word([0])
     assert list(Word([1, 2, -1])) == [1, 2, -1]
-
-
-@settings(max_examples=100, derandomize=True)
-@given(st.lists(st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0),
-                max_size=30))
-def test_free_reduce_is_reduced_and_idempotent(letters):
-    red = free_reduce(letters)
-    assert all(a != -b for a, b in zip(red, red[1:]))
-    assert free_reduce(red) == red
 
 
 def test_word_eval_examples():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -220,7 +221,7 @@ def test_record_file_layout(tmp_path):
     assert len(lines) == 1 + 4 + 1
     assert json.loads(lines[0]) == json.loads(json_line(cfg.to_dict()))
     final = json.loads(lines[-1])
-    assert set(final) == {"summary", "wall_clock_s", "version"}
+    assert set(final) == {"summary", "version"}
     loaded = load_record(rec.path)
     assert loaded.rows == rec.rows
     assert loaded.summary == rec.summary
@@ -248,9 +249,8 @@ def test_resume_matches_uninterrupted(tmp_path, kind, threads):
                              resume=True)
     assert resumed.rows == full.rows
     assert resumed.summary == full.summary
-    full_lines = (full_dir / record_filename(cfg)).read_text().splitlines()
-    part_lines = (part_dir / record_filename(cfg)).read_text().splitlines()
-    assert full_lines[:-1] == part_lines[:-1]  # all but the wall-clock line
+    assert (full_dir / record_filename(cfg)).read_bytes() == (
+        part_dir / record_filename(cfg)).read_bytes()
 
 
 def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
@@ -267,8 +267,8 @@ def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
         irreps._rotation_basis.cache_clear()
         assert cli.main(argv + ["--out-dir", str(out_dir), "--threads",
                                 threads, *extra]) == 0
-        lines = (out_dir / record_filename(cfg)).read_text().splitlines()
-        return capsys.readouterr().out, lines[:-1]  # all but the wall clock
+        return (capsys.readouterr().out,
+                (out_dir / record_filename(cfg)).read_bytes())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -288,30 +288,30 @@ def test_cold_level_cache_shared_by_the_pool(tmp_path, capsys):
     assert resumed == runs["1"]
 
 
-# sha256 of every record line but the wall-clock line (numpy 2.4, OpenBLAS
-# 0.3.31, x86-64); the float digits depend on the C library's atan2 and on
-# LAPACK.  The rank-3 records are as the commit before stacked sweeps wrote
-# them; the pair records (scan and fiber) as the pair blocks write them,
-# whose floats differ from the complex operator's by at most 6e-15 here
+# sha256 of the whole record file (numpy 2.4, OpenBLAS 0.3.31, x86-64); the
+# float digits depend on the C library's atan2 and on LAPACK.  The rank-3
+# records are as the commit before stacked sweeps wrote them; the pair
+# records (scan and fiber) as the pair blocks write them, whose floats differ
+# from the complex operator's by at most 6e-15 here
 GOLDEN = [
     (ExperimentConfig(kind="zero_one_scan", n=2, seed=1, cutoff_J=12, samples=3),
-     "688b254550d255a79993298f0f3d66cf9f43b4e3ba3143c3b249f6c00bbc63e8"),
+     "68323ddcfd6878ddc0524a96298e2c8111d8c3064cfe0036b3ebbddcfad923c8"),
     (ExperimentConfig(kind="orbit_invariance", n=3, seed=1, cutoff_J=6,
                       walk_length=20),
-     "6ccd97d01d4430dcfc472839416aca24143cc7a18ef362aa69dba2d3ebec52d0"),
+     "f8c927076914233e8ed8f99e007f2579bbf95d0c2e17c62cf2441badc81bbea4"),
     # two blocks of fiber rows, and 70 lps levels as one row per call wrote
     # them
     (FIBER_TWO_BLOCKS,
-     "d68d1f7ea37a9016674905d2fb0969001ce77d91e58b87b399b984125ee78ec4"),
+     "5c18ce0d440cc2fde8aedc0ae6cfcf7d8dcffd3c326b6f407fe5b286ed14bdc3"),
     (ExperimentConfig(kind="lps_benchmark", n=3, seed=0, cutoff_J=70),
-     "a3d94944821b4b606aa8ff149a1cab0c2a5c0cbb5e022c63e65ef6785bc6787e"),
+     "36c7450fd7c864e811d655093f2543426b9c4aeccc390630ee6d9d0ca3247b3a"),
 ]
 
 
 @pytest.mark.parametrize("cfg, digest", GOLDEN, ids=[c.kind for c, _ in GOLDEN])
 def test_record_bytes_match_the_per_tuple_construction(tmp_path, cfg, digest):
-    lines = Path(run_experiment(cfg, out_dir=tmp_path).path).read_text().splitlines()
-    assert hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest() == digest
+    data = Path(run_experiment(cfg, out_dir=tmp_path).path).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_resume_after_a_cut_at_every_byte(tmp_path):
@@ -319,12 +319,11 @@ def test_resume_after_a_cut_at_every_byte(tmp_path):
     cfg = scan_config(samples=3, cutoff_J=2)
     full = run_experiment(cfg, out_dir=tmp_path)
     data = Path(full.path).read_bytes()
-    expected = data.splitlines()[:-1]  # all but the wall-clock line
     for cut in range(len(data)):
         Path(full.path).write_bytes(data[:cut])
         resumed = run_experiment(cfg, out_dir=tmp_path, resume=True)
         assert resumed.rows == full.rows and resumed.summary == full.summary
-        assert Path(full.path).read_bytes().splitlines()[:-1] == expected, cut
+        assert Path(full.path).read_bytes() == data, cut
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -430,6 +429,22 @@ def test_index_gap_is_refused_by_load_and_resume(tmp_path, capsys):
             "7", "--out-dir", str(tmp_path), "--resume"]
     assert cli.main(argv) == 2
     assert "gap at row 1" in capsys.readouterr().err
+    assert Path(rec.path).read_bytes() == data
+
+
+def test_corrupt_line_is_named_by_load_and_resume(tmp_path, capsys):
+    cfg = scan_config(samples=5)
+    rec = run_experiment(cfg, out_dir=tmp_path)
+    lines = cut_record(rec.path, 3).splitlines(keepends=True)
+    data = b"".join(lines[:2] + [b'{"index": 1, garbage\n'] + lines[3:])
+    Path(rec.path).write_bytes(data)
+    message = f"{rec.path}: line 3 is not JSON"  # row 1 follows the config
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_record(rec.path)
+    argv = ["scan", "--n", "2", "--cutoff", "6", "--samples", "5", "--seed",
+            "7", "--out-dir", str(tmp_path), "--resume"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
     assert Path(rec.path).read_bytes() == data
 
 
